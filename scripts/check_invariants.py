@@ -47,6 +47,17 @@ conventions:
                    statistics read by nobody the checker cares about)
                    carry an allow(schedulable-atomic) suppression.
 
+  policy-by-name   Routing policies are chosen through PolicyRegistry and
+                   run as RoutingPolicy objects, never dispatched on their
+                   name. Outside src/eddy/policies/ and src/engine/, no
+                   code may compare against a built-in policy-name string
+                   ("lottery", "benefit_cost", "nary_shj", or the hyphenated
+                   RoutingPolicy::name() spellings) with ==, != or
+                   compare()/strcmp(). Such a comparison is how a second
+                   router grows back: a string switch that re-implements
+                   the policies with its own formulas and silently routes
+                   every other registered policy some default way.
+
 Suppression (sparingly): a line, or the line above it, may carry
 `// invariant: allow(<rule>) -- <reason>`. The reason is mandatory.
 
@@ -93,6 +104,12 @@ ATOMIC_POINTER_RE = re.compile(r"std::atomic<[^<>]*>\s*[*&]")
 ATOMIC_DOC_RE = re.compile(r"relaxed[-:]|sync:")
 WALL_CLOCK_DOC_RE = re.compile(r"//.*wall-clock:")
 ALLOW_RE = re.compile(r"//\s*invariant:\s*allow\(([a-z-]+)\)\s*--\s*\S")
+
+POLICY_NAME = r'"(?:lottery|benefit[_-]cost|nary[_-]shj)"'
+POLICY_BY_NAME_RE = re.compile(
+    rf"(?:==|!=)\s*{POLICY_NAME}|{POLICY_NAME}\s*(?:==|!=)"
+    rf"|(?:compare|strcmp)\s*\([^)]*{POLICY_NAME}")
+POLICY_HOME_DIRS = ("src/eddy/policies/", "src/engine/")
 
 NET_THREAD_MARKER = "--- network thread"
 ENGINE_THREAD_MARKER = "--- engine thread"
@@ -184,6 +201,16 @@ def check_file(rel, lines, errors):
                     f"{rel}:{lineno}: [atomic-doc] std::atomic member "
                     f"without a nearby `relaxed:` or `sync:` comment "
                     f"explaining why its ordering suffices")
+
+        # policy-by-name ------------------------------------------------
+        if (not rel.startswith(POLICY_HOME_DIRS) and not is_comment(line)
+                and POLICY_BY_NAME_RE.search(line)
+                and not allowed(lines, i, "policy-by-name")):
+            errors.append(
+                f"{rel}:{lineno}: [policy-by-name] comparison against a "
+                f"built-in routing-policy name; create the policy through "
+                f"PolicyRegistry and call it instead of dispatching on its "
+                f"name (a second router)")
 
         # schedulable-atomic --------------------------------------------
         if (rel.startswith(("src/exec/", "src/server/"))

@@ -95,6 +95,18 @@ void Eddy::SetPolicy(std::unique_ptr<RoutingPolicy> policy) {
   policy_->Attach(this);
 }
 
+SlotProbeStats Eddy::StemProbeStats::ForSlot(int slot) const {
+  SlotProbeStats out;
+  const Stem* stem = eddy_.StemForSlot(slot);
+  if (stem == nullptr) return out;
+  out.probes = stem->probes_processed();
+  out.matches = stem->matches_emitted();
+  out.mean_latency = stem->stats().MeanLatency();
+  out.queue_length = stem->queue_length();
+  out.spill_cost = stem->ExpectedProbeSpillCost();
+  return out;
+}
+
 Stem* Eddy::StemForSlot(int slot) const {
   assert(slot >= 0 && static_cast<size_t>(slot) < stem_by_slot_.size());
   return stem_by_slot_[slot];

@@ -189,6 +189,10 @@ class Eddy {
     return sms_;
   }
 
+  /// Per-slot probe history read from this eddy's SteMs: the view PolicyBase
+  /// hands to ChooseProbeSlot.
+  const ProbeStatsView& probe_stats() const { return probe_stats_; }
+
   /// Does Table 2's BuildFirst apply to singletons of `slot`'s table (or is
   /// the eddy running with always_build)?
   bool BuildRequired(int slot) const;
@@ -226,8 +230,18 @@ class Eddy {
   void AdmitResult(TuplePtr tuple);
   void OnStemChanged(int table_ordinal);
 
+  class StemProbeStats final : public ProbeStatsView {
+   public:
+    explicit StemProbeStats(const Eddy& eddy) : eddy_(eddy) {}
+    SlotProbeStats ForSlot(int slot) const override;
+
+   private:
+    const Eddy& eddy_;
+  };
+
   QueryContext ctx_;
   EddyOptions options_;
+  StemProbeStats probe_stats_{*this};
   JoinGraph join_graph_;
   std::unique_ptr<RoutingPolicy> policy_;
   std::unique_ptr<ConstraintChecker> checker_;

@@ -15,7 +15,8 @@ STEMS_REGISTER_POLICY("benefit_cost", [](const PolicyParams& p) {
 });
 
 int BenefitCostPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
-                                       const std::vector<int>& candidates) {
+                                       const std::vector<int>& candidates,
+                                       const ProbeStatsView& stats) {
   if (candidates.size() > 1 && rng_.NextBool(options_.explore_epsilon)) {
     return candidates[rng_.NextBounded(candidates.size())];
   }
@@ -23,19 +24,19 @@ int BenefitCostPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
   int best = candidates.front();
   double best_score = -1;
   for (int slot : candidates) {
-    const Stem* stem = eddy_->StemForSlot(slot);
+    const SlotProbeStats stem = stats.ForSlot(slot);
     double matches_per_probe = options_.prior_matches;
-    if (stem->probes_processed() > 0) {
-      matches_per_probe = static_cast<double>(stem->matches_emitted()) /
-                          static_cast<double>(stem->probes_processed());
+    if (stem.probes > 0) {
+      matches_per_probe = static_cast<double>(stem.matches) /
+                          static_cast<double>(stem.probes);
     }
     // Spill-aware cost (§6): a SteM with spilled partitions makes probes
     // pay fault-in I/O, so its expected latency rises and the policy
-    // prefers resident state while the spilled side stays cold.
-    const double latency =
-        stem->stats().MeanLatency() + 1.0 +
-        static_cast<double>(stem->queue_length()) +
-        static_cast<double>(stem->ExpectedProbeSpillCost());
+    // prefers resident state while the spilled side stays cold. (On
+    // threads the sim-only terms are zero, so the latency is 1.)
+    const double latency = stem.mean_latency + 1.0 +
+                           static_cast<double>(stem.queue_length) +
+                           static_cast<double>(stem.spill_cost);
     const double score = (matches_per_probe + 0.01) / latency;
     if (score_tracing()) {
       char buf[48];

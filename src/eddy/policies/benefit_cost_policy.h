@@ -41,6 +41,9 @@ class BenefitCostPolicy : public PolicyBase {
     return last_scores_;
   }
 
+  int ChooseProbeSlot(const Tuple& tuple, const std::vector<int>& candidates,
+                      const ProbeStatsView& stats) override;
+
  protected:
   void OnScoreTracingStart() override { last_scores_.clear(); }
 
@@ -49,8 +52,6 @@ class BenefitCostPolicy : public PolicyBase {
   /// per-tuple re-evaluation (and its exploration draw) for one per group.
   bool AmortizeHomogeneousLineage() const override { return true; }
 
-  int ChooseProbeSlot(const Tuple& tuple,
-                      const std::vector<int>& candidates) override;
   IndexAm* ChooseIndexAm(const Tuple& tuple,
                          const std::vector<IndexAm*>& ams) override;
   bool ShouldProbeIndexAm(const Tuple& tuple,

@@ -14,34 +14,32 @@ STEMS_REGISTER_POLICY("lottery", [](const PolicyParams& p) {
   return std::make_unique<LotteryPolicy>(o);
 });
 
-double LotteryPolicy::StemWeight(const Stem& stem) const {
+double LotteryPolicy::StemWeight(const SlotProbeStats& stem) const {
   // Observed matches per probe: selective SteMs (fewer matches) win more
   // tickets, since probing them first shrinks intermediate results.
-  const double probes =
-      static_cast<double>(stem.probes_processed()) + 1.0;
-  const double matches = static_cast<double>(stem.matches_emitted());
+  const double probes = static_cast<double>(stem.probes) + 1.0;
+  const double matches = static_cast<double>(stem.matches);
   const double selectivity = matches / probes;
   double weight = 1.0 / (0.1 + selectivity);
   // Backpressure: long queues lose tickets.
-  weight /= std::pow(1.0 + static_cast<double>(stem.queue_length()),
+  weight /= std::pow(1.0 + static_cast<double>(stem.queue_length),
                      options_.queue_penalty);
   return weight < options_.min_weight ? options_.min_weight : weight;
 }
 
 int LotteryPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
-                                   const std::vector<int>& candidates) {
+                                   const std::vector<int>& candidates,
+                                   const ProbeStatsView& stats) {
   double total = 0;
-  std::vector<double> weights;
-  weights.reserve(candidates.size());
+  weights_.clear();
   for (int slot : candidates) {
-    const Stem* stem = eddy_->StemForSlot(slot);
-    const double w = stem != nullptr ? StemWeight(*stem) : options_.min_weight;
-    weights.push_back(w);
+    const double w = StemWeight(stats.ForSlot(slot));
+    weights_.push_back(w);
     total += w;
   }
   double draw = rng_.NextDouble() * total;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    draw -= weights[i];
+    draw -= weights_[i];
     if (draw <= 0) return candidates[i];
   }
   return candidates.back();

@@ -28,17 +28,20 @@ class LotteryPolicy : public PolicyBase {
 
   const char* name() const override { return "lottery"; }
 
+  int ChooseProbeSlot(const Tuple& tuple, const std::vector<int>& candidates,
+                      const ProbeStatsView& stats) override;
+
  protected:
-  int ChooseProbeSlot(const Tuple& tuple,
-                      const std::vector<int>& candidates) override;
   IndexAm* ChooseIndexAm(const Tuple& tuple,
                          const std::vector<IndexAm*>& ams) override;
 
  private:
-  double StemWeight(const Stem& stem) const;
+  double StemWeight(const SlotProbeStats& stem) const;
 
   LotteryPolicyOptions options_;
   Rng rng_;
+  /// ChooseProbeSlot's ticket scratch (reused: no per-tuple allocation).
+  std::vector<double> weights_;
 };
 
 }  // namespace stems

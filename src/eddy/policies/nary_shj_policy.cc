@@ -9,17 +9,14 @@ STEMS_REGISTER_POLICY("nary_shj", [](const PolicyParams& p) {
 });
 
 int NaryShjPolicy::ChooseProbeSlot(const Tuple& /*tuple*/,
-                                   const std::vector<int>& candidates) {
+                                   const std::vector<int>& candidates,
+                                   const ProbeStatsView& /*stats*/) {
   for (int preferred : probe_order_) {
     for (int c : candidates) {
       if (c == preferred) return c;
     }
   }
-  int best = candidates.front();
-  for (int c : candidates) {
-    if (c < best) best = c;
-  }
-  return best;
+  return candidates.front();  // ascending: the smallest slot
 }
 
 }  // namespace stems

@@ -23,13 +23,13 @@ class NaryShjPolicy : public PolicyBase {
 
   const char* name() const override { return "nary-shj"; }
 
+  int ChooseProbeSlot(const Tuple& tuple, const std::vector<int>& candidates,
+                      const ProbeStatsView& stats) override;
+
  protected:
   /// The probe order is a pure function of the tuple's lineage, so one
   /// decision serves every tuple of a homogeneous batch group.
   bool AmortizeHomogeneousLineage() const override { return true; }
-
-  int ChooseProbeSlot(const Tuple& tuple,
-                      const std::vector<int>& candidates) override;
 
  private:
   std::vector<int> probe_order_;

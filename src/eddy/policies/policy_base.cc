@@ -36,14 +36,15 @@ RouteDecision PolicyBase::Route(const TuplePtr& tuple) {
   // table also spawns the reverse-direction clone.
   MaybeSpawnRetargetClone(tuple);
 
-  const std::vector<int> candidates = ProbeCandidates(*tuple);
-  if (candidates.empty()) {
+  ProbeCandidates(*tuple, &candidates_);
+  if (candidates_.empty()) {
     // Nothing left to probe: every result this tuple contributes to will be
     // generated by later-arriving tuples probing the SteMs that hold its
     // components.
     return RouteDecision::Retire();
   }
-  const int target = ChooseProbeSlot(*tuple, candidates);
+  const int target =
+      ChooseProbeSlot(*tuple, candidates_, eddy_->probe_stats());
   Stem* stem = eddy_->StemForSlot(target);
   assert(stem != nullptr);
   return RouteDecision::Send(stem, RouteIntent::kProbe, target,
@@ -145,26 +146,14 @@ RouteDecision PolicyBase::RoutePriorProber(const TuplePtr& tuple) {
   return RouteDecision::Park(cslot);
 }
 
-std::vector<int> PolicyBase::ProbeCandidates(const Tuple& tuple) const {
-  const QuerySpec& query = eddy_->query();
-  const JoinGraph& graph = eddy_->join_graph();
-  std::vector<int> connected, unconnected;
-  for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-    if (tuple.Spans(s)) continue;
-    if (tuple.probed_stems() & (1ULL << s)) continue;
-    if (eddy_->StemForSlot(s) == nullptr) continue;
-    bool adjacent = false;
-    for (int nbr : graph.Neighbors(s)) {
-      if (tuple.Spans(nbr)) {
-        adjacent = true;
-        break;
-      }
-    }
-    (adjacent ? connected : unconnected).push_back(s);
+void PolicyBase::ProbeCandidates(const Tuple& tuple,
+                                 std::vector<int>* out) const {
+  uint64_t probeable = 0;
+  for (int s = 0; s < static_cast<int>(eddy_->query().num_slots()); ++s) {
+    if (eddy_->StemForSlot(s) != nullptr) probeable |= 1ULL << s;
   }
-  // Prefer join-connected probes; fall back to cross products only when the
-  // query graph forces them.
-  return connected.empty() ? unconnected : connected;
+  eddy_->join_graph().ProbeCandidates(
+      tuple.spanned_mask(), probeable & ~tuple.probed_stems(), out);
 }
 
 IndexAm* PolicyBase::ChooseIndexAm(const Tuple& /*tuple*/,

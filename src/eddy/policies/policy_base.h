@@ -5,7 +5,9 @@
 // paper §2.3/§3 — build first, then probe adjacent SteMs, complete probes
 // through index AMs, park §3.5 re-probers — and leaves the *choices* to
 // subclasses:
-//   * ChooseProbeSlot    — join ordering / spanning tree selection
+//   * ChooseProbeSlot    — join ordering / spanning tree selection; the one
+//                          decision both executors share (threaded workers
+//                          call it directly, docs/parallelism.md)
 //   * ChooseIndexAm      — competitive access method selection
 //   * ShouldProbeIndexAm — whether an optional bounce is worth an index
 //                          lookup (join algorithm hybridization, §4.3)
@@ -32,15 +34,19 @@ class PolicyBase : public RoutingPolicy {
   void ChooseBatch(const TupleBatch& batch,
                    std::vector<RouteDecision>* out) override;
 
+  /// Picks the next SteM to probe from non-empty, ascending `candidates`
+  /// (slots), reading per-slot probe history from `stats`. Must not touch
+  /// the eddy: a threaded worker calls this with no eddy attached, passing
+  /// its own probe counts as `stats`.
+  virtual int ChooseProbeSlot(const Tuple& tuple,
+                              const std::vector<int>& candidates,
+                              const ProbeStatsView& stats) = 0;
+
  protected:
   /// Opt-in for ChooseBatch's decision sharing. Policies whose per-tuple
   /// randomness is the point (e.g. lottery scheduling) keep this off and
   /// still benefit from the eddy's batched event-queue hops.
   virtual bool AmortizeHomogeneousLineage() const { return false; }
-
-  /// Picks the next SteM to probe from non-empty `candidates` (slots).
-  virtual int ChooseProbeSlot(const Tuple& tuple,
-                              const std::vector<int>& candidates) = 0;
 
   /// Picks one of the bindable index AMs on the completion table.
   virtual IndexAm* ChooseIndexAm(const Tuple& tuple,
@@ -70,10 +76,10 @@ class PolicyBase : public RoutingPolicy {
   /// Route tuples through pending selection modules before SteM probes?
   virtual bool SelectionsFirst() const { return true; }
 
-  /// Slots whose SteM `tuple` may probe next: unspanned, unprobed, joined
-  /// to the tuple's span (falls back to unconnected slots for cross
-  /// products).
-  std::vector<int> ProbeCandidates(const Tuple& tuple) const;
+  /// Slots whose SteM `tuple` may probe next, written into `*out`:
+  /// unspanned, unprobed, joined to the tuple's span (falls back to
+  /// unconnected slots for cross products). See JoinGraph::ProbeCandidates.
+  void ProbeCandidates(const Tuple& tuple, std::vector<int>* out) const;
 
  private:
   RouteDecision RoutePriorProber(const TuplePtr& tuple);
@@ -87,6 +93,8 @@ class PolicyBase : public RoutingPolicy {
     RouteDecision decision;
   };
   std::vector<CachedDecision> batch_cache_;
+  /// Route()'s probe-candidate scratch (member for the same reason).
+  std::vector<int> candidates_;
 };
 
 }  // namespace stems

@@ -7,6 +7,7 @@
 // the SteMs/AMs internally and audited by the eddy's ConstraintChecker.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,30 @@ struct RouteDecision {
     d.park_slot = slot;
     return d;
   }
+};
+
+/// Per-slot probe history behind a probe-slot choice
+/// (PolicyBase::ChooseProbeSlot). Threaded workers know only their own
+/// probes and matches; the latency, queue and spill terms describe the
+/// simulated substrate and read zero there.
+struct SlotProbeStats {
+  uint64_t probes = 0;   ///< probes served
+  uint64_t matches = 0;  ///< concatenations those probes emitted
+  double mean_latency = 0;    ///< mean virtual service latency (sim only)
+  uint64_t queue_length = 0;  ///< tuples queued at the SteM (sim only)
+  SimTime spill_cost = 0;     ///< expected spill cost per probe (sim only)
+};
+
+/// Where a probe-slot choice reads SlotProbeStats: the Eddy answers from
+/// its SteMs, a threaded worker from its own probe counts. Looked up per
+/// candidate on demand, so a policy that reads no statistics (nary_shj)
+/// pays nothing for them.
+class ProbeStatsView {
+ public:
+  virtual SlotProbeStats ForSlot(int slot) const = 0;
+
+ protected:
+  ~ProbeStatsView() = default;
 };
 
 class RoutingPolicy {

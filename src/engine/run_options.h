@@ -101,7 +101,7 @@ struct RunOptions {
   /// The planner-ready ExecutionConfig: `exec` with the top-level
   /// shorthands folded in (batch_size, memory_budget_entries, and the
   /// spill toggle's victim-policy flip). The single place Engine::Submit
-  /// and SimExecutor translate RunOptions for PlanQuery.
+  /// translates RunOptions for PlanQuery.
   ExecutionConfig EffectiveExec() const;
 
   // --- named presets --------------------------------------------------------

@@ -1,4 +1,5 @@
-// Executor: how a submitted query's dataflow is driven (docs/parallelism.md).
+// Execution substrates: how a submitted query's dataflow is driven
+// (docs/parallelism.md).
 //
 // The engine has exactly two ways to run the eddies-and-SteMs dataflow:
 //
@@ -7,31 +8,24 @@
 //               bit-for-bit reproducible, and virtual time prices remote
 //               latencies and disk I/O. This is the default and the
 //               reference semantics for all equivalence/property tests.
+//               Engine::Submit plans it onto the engine's shared clock.
 //   kThreaded — the wall-clock morsel-driven thread pool
 //               (threaded_executor.h): TupleBatch is the morsel, SteM state
-//               is hash-sharded across workers, and routing statistics live
-//               in per-worker accumulators merged on read. Same result set,
-//               real cores.
+//               is hash-sharded across workers, and each worker runs its own
+//               instance of the registered routing policy on its own probe
+//               statistics. Same result set, real cores.
 //
-// Both implement Executor::Execute — run one query to completion, fill an
-// ExecOutcome — which is what the sim-vs-threaded equivalence gate in CI
-// exercises. (The Engine's lazy multi-query pump is the sim executor's
-// interleaved form: several eddies share one clock and a cursor advances it
-// just far enough; see engine/engine.cc.)
+// Both take the same RunOptions through Engine::Submit; this header holds
+// the vocabulary the threaded run reports back in (ExecOutcome).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "runtime/tuple.h"
 
 namespace stems {
-
-class QuerySpec;
-class TableStore;
-struct RunOptions;
 
 namespace obs {
 class MetricsRegistry;
@@ -48,8 +42,6 @@ struct ExecObs {
 
 /// Which execution substrate Engine::Submit puts the query on.
 enum class ExecutorKind { kSim, kThreaded };
-
-const char* ExecutorKindName(ExecutorKind kind);
 
 /// One worker's routing accumulators (threaded executor). Workers never
 /// share counters on the hot path — each owns one of these, and readers
@@ -80,48 +72,30 @@ struct WorkerCounters {
   }
 };
 
-/// Everything Execute() reports back about one completed run.
+/// Everything ThreadPoolExecutor::Execute() reports about one completed run.
 struct ExecOutcome {
   std::vector<TuplePtr> results;
   /// Constraint-audit verdict: invariant breaches observed while running
   /// (empty on every correct execution; the equivalence gate compares this
   /// against the sim run's audit).
   std::vector<std::string> violations;
-  /// Per-worker accumulators, merged on read (size 1 for the sim executor).
+  /// Per-worker accumulators, merged on read.
   std::vector<WorkerCounters> workers;
   /// Aggregate of `workers` (computed by Execute).
   WorkerCounters totals;
-  /// Spill observability (threaded executor's sharded state; the sim path
-  /// reports through Eddy::SpillStats instead).
+  /// Spill observability of the sharded state (the sim path reports through
+  /// Eddy::SpillStats instead).
   uint64_t spill_ios = 0;
   uint64_t bytes_spilled = 0;
   uint64_t entries_spilled = 0;
   size_t partitions_resident = 0;
   size_t partitions_spilled = 0;
-  /// Shard-mutex contention (threaded executor): blocked hot-path
-  /// acquisitions and the wall time they spent waiting.
+  /// Shard-mutex contention: blocked hot-path acquisitions and the wall
+  /// time they spent waiting.
   uint64_t shard_lock_waits = 0;
   uint64_t shard_lock_wait_ns = 0;
   /// True when the run stopped early because the query's LIMIT filled.
   bool limit_reached = false;
-};
-
-/// A strategy for running one query to completion. Implementations:
-/// SimExecutor (sim_executor.h) and ThreadPoolExecutor
-/// (threaded_executor.h).
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  virtual const char* name() const = 0;
-
-  /// Runs `query` over `store` to completion under `options`, filling
-  /// `*out`. Returns non-OK (and leaves `*out` unspecified) when the
-  /// query/options combination is not supported by this executor. `obs`
-  /// carries the optional metric/trace sinks the run publishes into.
-  virtual Status Execute(const QuerySpec& query, const RunOptions& options,
-                         const TableStore& store, ExecOutcome* out,
-                         const ExecObs& obs = {}) = 0;
 };
 
 }  // namespace stems

@@ -50,7 +50,7 @@ bool ShardedStem::mutation_ts_outside_lock_for_test = false;
 ShardedStem::ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
                          Atomic<BuildTs>* ts_counter,
                          ShardedSpillState* spill)
-    : slot_(slot), query_(query), ts_counter_(ts_counter), spill_(spill) {
+    : slot_(slot), ts_counter_(ts_counter), spill_(spill) {
   for (const auto& pred : query.predicates()) {
     if (!pred.is_join() || pred.op() != CompareOp::kEq) continue;
     auto col = pred.EquiJoinColumnFor(slot_);
@@ -132,27 +132,11 @@ ShardedStem::BuildResult ShardedStem::Build(const RowRef& row) {
   return out;
 }
 
-void ShardedStem::ProbeBindings(const Tuple& probe, Bindings* out) const {
-  out->clear();
-  for (const auto& pred : query_.predicates()) {
-    if (!pred.is_join() || pred.op() != CompareOp::kEq) continue;
-    auto col = pred.EquiJoinColumnFor(slot_);
-    if (!col.has_value()) continue;
-    auto peer = pred.EquiJoinPeerOf(slot_);
-    if (!peer.has_value() || peer->table_slot == slot_) continue;
-    if (!probe.Spans(peer->table_slot)) continue;
-    const Value* v = probe.ValueAt(peer->table_slot, peer->column);
-    if (v != nullptr) out->emplace_back(*col, *v);
-  }
-}
-
-uint64_t ShardedStem::ProbeShard(Shard* shard, int idx, const Value* key,
-                                 BuildTs probe_ts, Matches* out) {
+void ShardedStem::ProbeShard(Shard* shard, int idx, const Value* key,
+                             BuildTs probe_ts, Matches* out) {
   ContentionLock lock(shard->mu, spill_);
   if (!shard->resident) FaultInLocked(shard);
-  uint64_t scanned = 0;
   auto visit = [&](const Entry& e) {
-    ++scanned;
     if (e.ts <= probe_ts) out->emplace_back(e.row, e.ts);
   };
   if (idx >= 0) {
@@ -163,7 +147,6 @@ uint64_t ShardedStem::ProbeShard(Shard* shard, int idx, const Value* key,
   } else {
     for (const Entry& e : shard->entries) visit(e);
   }
-  return scanned;
 }
 
 std::pair<int, int> ShardedStem::IndexForBindings(

@@ -37,6 +37,7 @@
 #include "common/thread_annotations.h"
 #include "query/query_spec.h"
 #include "runtime/tuple.h"
+#include "stem/probe_bindings.h"
 #include "types/row.h"
 #include "types/value.h"
 
@@ -101,19 +102,14 @@ class ShardedStem {
   /// of the same shard (see the visibility contract above).
   BuildResult Build(const RowRef& row);
 
-  /// Equality bindings a probe carries: (column of this slot, value).
-  using Bindings = std::vector<std::pair<int, Value>>;
-
-  /// Computes the equality bindings tuple `probe` provides for this slot
-  /// from the query's equi-join predicates (§2.1.4's index bind columns).
-  void ProbeBindings(const Tuple& probe, Bindings* out) const;
+  /// Equality bindings a probe carries (DeriveProbeBindings).
+  using Bindings = ProbeBindings;
 
   /// Invokes `fn(row, entry_ts)` for every stored entry matching `bindings`
   /// with `entry_ts <= probe_ts` (§3.1's probe-side filter). A binding on
   /// the shard-key column routes to one shard; a binding on another indexed
   /// column uses that column's per-shard index across all shards; no usable
-  /// binding (range joins, cross products) scans everything. Returns the
-  /// number of entries examined (the router's cost signal).
+  /// binding (range joins, cross products) scans everything.
   /// A probe match handed back to the prober: the stored row + its build
   /// timestamp, copied out of the shard so the (expensive) continuation —
   /// predicate evaluation, concatenation, cascading — runs *outside* the
@@ -124,33 +120,30 @@ class ShardedStem {
   using Matches = std::vector<std::pair<RowRef, BuildTs>>;
 
   template <typename Fn>
-  uint64_t Probe(const Bindings& bindings, BuildTs probe_ts, Fn&& fn,
-                 Matches* scratch = nullptr) {
+  void Probe(const Bindings& bindings, BuildTs probe_ts, Fn&& fn,
+             Matches* scratch = nullptr) {
     Matches local;
     Matches& matches = scratch != nullptr ? *scratch : local;
     matches.clear();
     const auto [binding_pos, index_pos] = IndexForBindings(bindings);
-    uint64_t scanned = 0;
     if (index_pos >= 0) {
       const Value& key = bindings[static_cast<size_t>(binding_pos)].second;
       if (index_pos == 0) {
         // Binding on the shard key: entries with this value live in exactly
         // one shard (builds are placed by the same column).
-        scanned = ProbeShard(shards_[ShardOfValue(key)].get(), 0, &key,
-                             probe_ts, &matches);
+        ProbeShard(shards_[ShardOfValue(key)].get(), 0, &key, probe_ts,
+                   &matches);
       } else {
         for (auto& shard : shards_) {
-          scanned +=
-              ProbeShard(shard.get(), index_pos, &key, probe_ts, &matches);
+          ProbeShard(shard.get(), index_pos, &key, probe_ts, &matches);
         }
       }
     } else {
       for (auto& shard : shards_) {
-        scanned += ProbeShard(shard.get(), -1, nullptr, probe_ts, &matches);
+        ProbeShard(shard.get(), -1, nullptr, probe_ts, &matches);
       }
     }
     for (auto& [row, ts] : matches) fn(row, ts);
-    return scanned;
   }
 
   int slot() const { return slot_; }
@@ -194,8 +187,8 @@ class ShardedStem {
   /// and appends the ts-filtered matches to `out`. Only the scan holds the
   /// lock; RowRefs are copied out so `out` stays valid after unlock even
   /// if a concurrent build reallocates the entry log.
-  uint64_t ProbeShard(Shard* shard, int idx, const Value* key,
-                      BuildTs probe_ts, Matches* out);
+  void ProbeShard(Shard* shard, int idx, const Value* key, BuildTs probe_ts,
+                  Matches* out);
 
   /// Rebuilds a spilled shard's indexes and re-charges the budget.
   void FaultInLocked(Shard* shard) STEMS_REQUIRES(shard->mu);
@@ -204,7 +197,6 @@ class ShardedStem {
   void EnforceBudget(const Shard* except);
 
   const int slot_;
-  const QuerySpec& query_;
   /// sync: the query-global timestamp authority; fetch_add is issued inside
   /// the shard critical section (see Build), the shard mutex provides the
   /// ordering the §3.1 contract needs. stems::Atomic: a yield point under

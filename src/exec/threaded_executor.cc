@@ -10,15 +10,17 @@
 #include <thread>
 #include <vector>
 
+#include "eddy/policies/policy_base.h"
 #include "eddy/tuple_batch.h"
+#include "engine/policy_registry.h"
 #include "engine/run_options.h"
 #include "exec/limit_gate.h"
-#include "exec/morsel_router.h"
 #include "exec/sharded_stem.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "query/join_graph.h"
 #include "query/query_spec.h"
+#include "stem/probe_bindings.h"
 #include "storage/table_store.h"
 
 namespace stems {
@@ -37,16 +39,47 @@ struct SourceChunk {
   size_t end;
 };
 
+/// A worker's own probe history: the statistics its policy instance reads.
+/// Only probes and matches exist here; the sim-only terms stay zero.
+struct WorkerProbeStats final : ProbeStatsView {
+  std::vector<SlotProbeStats> slots;
+  SlotProbeStats ForSlot(int slot) const override {
+    return slots[static_cast<size_t>(slot)];
+  }
+};
+
+/// One instance of the registered policy `options` names, for the worker
+/// whose lottery stream `seed` selects. Workers call its ChooseProbeSlot
+/// directly, so the policy must be built on PolicyBase; one that answers
+/// only Route() needs an eddy and is rejected rather than approximated.
+Result<std::unique_ptr<PolicyBase>> CreateWorkerPolicy(
+    const RunOptions& options, uint64_t seed) {
+  PolicyParams params = options.policy_params;
+  params.seed = seed;
+  STEMS_ASSIGN_OR_RETURN(std::unique_ptr<RoutingPolicy> policy,
+                         PolicyRegistry::Global().Create(options.policy,
+                                                         params));
+  if (dynamic_cast<PolicyBase*>(policy.get()) == nullptr) {
+    return Status::Unsupported(
+        "threaded executor: routing policy '" + options.policy +
+        "' is not built on PolicyBase, so workers cannot call its "
+        "ChooseProbeSlot; it runs on the sim executor only");
+  }
+  return std::unique_ptr<PolicyBase>(
+      static_cast<PolicyBase*>(policy.release()));
+}
+
 }  // namespace
 
 struct ThreadPoolExecutor::WorkerState {
   WorkerCounters counters;
   std::vector<TuplePtr> results;
-  std::unique_ptr<MorselRouter> router;
+  std::unique_ptr<PolicyBase> policy;
+  WorkerProbeStats probe_stats;
   std::vector<TuplePtr> cascade_stack;
   std::vector<int> candidates_scratch;
-  std::vector<int> passed_scratch;
-  ShardedStem::Bindings bindings_scratch;
+  std::vector<const Predicate*> decided_scratch;
+  ProbeBindings bindings_scratch;
   ShardedStem::Matches matches_scratch;
 };
 
@@ -71,7 +104,6 @@ struct ThreadPoolExecutor::RunState {
   uint64_t full_mask = 0;
   uint64_t all_preds_mask = 0;
   std::vector<std::vector<const Predicate*>> selections;  ///< per slot
-  std::vector<std::vector<int>> neighbors;                ///< per slot
 
   /// The LIMIT admission race + drain flags (exec/limit_gate.h) — the
   /// protocol object the schedule-exploration harness drives directly.
@@ -135,6 +167,8 @@ Status ThreadPoolExecutor::ValidateSupported(const QuerySpec& query,
     return Status::Unsupported(
         "threaded executor: result-priority metrics (§4.1) are sim-only");
   }
+  STEMS_RETURN_NOT_OK(
+      CreateWorkerPolicy(options, options.policy_params.seed).status());
   // Query shapes outside the envelope.
   if (query.num_slots() == 0 || query.num_slots() > 64) {
     return Status::Unsupported("threaded executor: 1..64 table slots");
@@ -197,56 +231,41 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
       AdmitResult(state, ws, std::move(t));
       continue;
     }
-    // Probe candidates exactly as the sim's routing skeleton: unspanned
-    // slots join-connected to the span, falling back to every unspanned
-    // slot for cross products.
+    // The worker's policy instance picks the probe from the join-graph
+    // candidates: the rule and the policy code the sim eddy routes by.
     auto& candidates = ws->candidates_scratch;
-    candidates.clear();
-    for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-      if (t->Spans(s)) {
-        for (int n : state->neighbors[static_cast<size_t>(s)]) {
-          if (!t->Spans(n) &&
-              std::find(candidates.begin(), candidates.end(), n) ==
-                  candidates.end()) {
-            candidates.push_back(n);
-          }
-        }
-      }
-    }
-    if (candidates.empty()) {
-      for (int s = 0; s < static_cast<int>(query.num_slots()); ++s) {
-        if (!t->Spans(s)) candidates.push_back(s);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-
+    state->graph->ProbeCandidates(t->spanned_mask(), state->full_mask,
+                                  &candidates);
     ++ws->counters.tuples_routed;
-    const int target = ws->router->ChooseTarget(*t, candidates);
+    const int target =
+        ws->policy->ChooseProbeSlot(*t, candidates, ws->probe_stats);
     ShardedStem& stem = *state->stems[static_cast<size_t>(target)];
 
-    ShardedStem::Bindings& bindings = ws->bindings_scratch;
-    stem.ProbeBindings(*t, &bindings);
-    const BuildTs probe_ts = t->Timestamp();
+    DeriveProbeBindings(query, *t, target, &ws->bindings_scratch);
+    // Every not-yet-passed predicate the widened span can decide (the
+    // stored row's selections included), listed once per probe as
+    // Stem::ProcessProbe does.
     const uint64_t new_span = t->spanned_mask() | (1ULL << target);
+    auto& decided = ws->decided_scratch;
+    decided.clear();
+    for (const auto& pred : query.predicates()) {
+      if (!t->PassedPredicate(pred.id()) && pred.CanEvaluate(new_span)) {
+        decided.push_back(&pred);
+      }
+    }
     uint64_t matches = 0;
-    const uint64_t scanned = stem.Probe(
-        bindings, probe_ts, [&](const RowRef& row, BuildTs entry_ts) {
-          // Evaluate every not-yet-passed predicate the widened span can
-          // decide (the stored row's selections included) — mirrors
-          // Stem::ProcessProbe.
+    stem.Probe(
+        ws->bindings_scratch, t->Timestamp(),
+        [&](const RowRef& row, BuildTs entry_ts) {
           OverlayValueSource overlay(*t, target, &row->values());
-          auto& passed = ws->passed_scratch;
-          passed.clear();
-          for (const auto& pred : query.predicates()) {
-            if (t->PassedPredicate(pred.id())) continue;
-            if (!pred.CanEvaluate(new_span)) continue;
-            if (!pred.Evaluate(overlay)) return;
-            passed.push_back(pred.id());
+          for (const Predicate* pred : decided) {
+            if (!pred->Evaluate(overlay)) return;
           }
           TuplePtr nt = t->ConcatWith(target, row, entry_ts);
-          for (int id : passed) nt->MarkPredicatePassed(id);
+          for (const Predicate* pred : decided) {
+            nt->MarkPredicatePassed(pred->id());
+          }
           ++matches;
-          ++ws->counters.matches;
           if (nt->spanned_mask() == state->full_mask) {
             AdmitResult(state, ws, std::move(nt));
           } else {
@@ -255,7 +274,11 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
         },
         &ws->matches_scratch);
     ++ws->counters.probes;
-    ws->router->RecordProbe(target, scanned, matches);
+    ws->counters.matches += matches;
+    SlotProbeStats& history =
+        ws->probe_stats.slots[static_cast<size_t>(target)];
+    ++history.probes;
+    history.matches += matches;
     // One probe per tuple, then out of the dataflow: the cascade continues
     // through the concatenations (see the exactly-once note in the header).
     ++ws->counters.tuples_retired;
@@ -359,12 +382,10 @@ Status ThreadPoolExecutor::Execute(const QuerySpec& query,
   const size_t num_slots = query.num_slots();
   state.tables.resize(num_slots);
   state.selections.resize(num_slots);
-  state.neighbors.resize(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {
     STEMS_ASSIGN_OR_RETURN(state.tables[s],
                            store.GetTable(query.slots()[s].table_name));
     state.selections[s] = query.SelectionsOn(static_cast<int>(s));
-    state.neighbors[s] = graph.Neighbors(static_cast<int>(s));
   }
   for (const auto& pred : query.predicates()) {
     state.all_preds_mask |= 1ULL << pred.id();
@@ -400,9 +421,13 @@ Status ThreadPoolExecutor::Execute(const QuerySpec& query,
       EffectiveThreads(options.num_threads, default_threads_);
   state.workers = std::vector<RunState::PaddedWorker>(num_threads);
   for (size_t w = 0; w < num_threads; ++w) {
-    state.workers[w].ws.router = std::make_unique<MorselRouter>(
-        num_slots, options.policy, options.policy_params.seed,
-        static_cast<int>(w));
+    // The seed is mixed per worker so stochastic policies' streams stay
+    // decorrelated across workers.
+    WorkerState& ws = state.workers[w].ws;
+    const uint64_t seed =
+        options.policy_params.seed * 0x9e3779b97f4a7c15ULL + w;
+    STEMS_ASSIGN_OR_RETURN(ws.policy, CreateWorkerPolicy(options, seed));
+    ws.probe_stats.slots.resize(num_slots);
   }
 
   std::vector<std::thread> threads;

@@ -7,8 +7,9 @@
 // tuple's whole lifecycle inline:
 //
 //   selections -> build into the slot's ShardedStem (set-semantics dedup)
-//     -> cascade: probe one unspanned join-connected SteM, concatenate the
-//        timestamp-visible matches, repeat until full span -> admit result.
+//     -> cascade: probe one unspanned join-connected SteM, chosen by the
+//        worker's own instance of the registered RoutingPolicy, concatenate
+//        the timestamp-visible matches, repeat until full span -> admit.
 //
 // Because every table streams through a scan (the supported envelope), each
 // result is produced exactly once: along the cascade rooted at its
@@ -17,7 +18,8 @@
 // index-AM incompleteness and relaxed BuildFirst, which stay sim-only.
 //
 // Concurrency rules: SteM state is only touched under its shard mutex;
-// routing statistics and results are worker-private (merged on read);
+// routing policies, their probe statistics and results are worker-private
+// (merged on read);
 // LIMIT/cancel is one atomic admission counter plus a stop flag. Workers
 // are spawned per Execute and joined before it returns — no state outlives
 // the call.
@@ -25,27 +27,35 @@
 
 #include <cstddef>
 
+#include "common/status.h"
 #include "common/thread_annotations.h"
 #include "exec/executor.h"
 
 namespace stems {
 
-class ThreadPoolExecutor : public Executor {
+class QuerySpec;
+class TableStore;
+struct RunOptions;
+
+class ThreadPoolExecutor {
  public:
   /// `default_threads` applies when RunOptions::num_threads is 0;
   /// 0 = hardware concurrency (clamped to [1, 8]).
   explicit ThreadPoolExecutor(size_t default_threads = 0)
       : default_threads_(default_threads) {}
 
-  const char* name() const override { return "threaded"; }
-
+  /// Runs `query` over `store` to completion under `options`, filling
+  /// `*out`. Returns non-OK (and leaves `*out` unspecified) when the
+  /// query/options combination is outside the threaded envelope. `obs`
+  /// carries the optional metric/trace sinks the run publishes into.
   Status Execute(const QuerySpec& query, const RunOptions& options,
                  const TableStore& store, ExecOutcome* out,
-                 const ExecObs& obs = {}) override;
+                 const ExecObs& obs = {});
 
   /// Whether the query/options combination is inside the threaded
   /// envelope. Non-OK names the first sim-only feature requested
-  /// (docs/parallelism.md, "What stays sim-only").
+  /// (docs/parallelism.md, "What stays sim-only"), or a routing policy
+  /// the workers cannot drive (one not built on PolicyBase).
   static Status ValidateSupported(const QuerySpec& query,
                                   const RunOptions& options);
 

@@ -1,6 +1,7 @@
 #include "query/join_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 
 namespace stems {
@@ -22,6 +23,25 @@ JoinGraph::JoinGraph(const QuerySpec& query)
   }
   for (auto& n : adj_) std::sort(n.begin(), n.end());
   std::sort(logical_edges_.begin(), logical_edges_.end());
+  neighbor_mask_.assign(adj_.size(), 0);
+  for (size_t a = 0; a < adj_.size(); ++a) {
+    for (int b : adj_[a]) {
+      if (b < 64) neighbor_mask_[a] |= 1ULL << b;
+    }
+  }
+}
+
+void JoinGraph::ProbeCandidates(uint64_t spanned, uint64_t probeable,
+                                std::vector<int>* out) const {
+  out->clear();
+  const uint64_t open = probeable & ~spanned;
+  uint64_t adjacent = 0;
+  for (uint64_t m = spanned; m != 0; m &= m - 1) {
+    adjacent |= neighbor_mask_[static_cast<size_t>(std::countr_zero(m))];
+  }
+  uint64_t pick = open & adjacent;
+  if (pick == 0) pick = open;
+  for (; pick != 0; pick &= pick - 1) out->push_back(std::countr_zero(pick));
 }
 
 std::vector<int> JoinGraph::EdgesBetween(int a, int b) const {

@@ -26,6 +26,16 @@ class JoinGraph {
   /// Neighbours of slot `a` (deduplicated, ascending).
   std::vector<int> Neighbors(int a) const;
 
+  /// Slots a tuple spanning `spanned` may probe next, ascending, written
+  /// into `*out` (cleared first; caller-owned scratch, so routing hot paths
+  /// allocate nothing): the `probeable` slots outside the span that are
+  /// join-connected to it, or — when none is (cross products) — every
+  /// probeable slot outside the span. The one candidate rule both executors
+  /// route by: PolicyBase masks out probed and SteM-less slots, a threaded
+  /// worker passes every slot.
+  void ProbeCandidates(uint64_t spanned, uint64_t probeable,
+                       std::vector<int>* out) const;
+
   /// True iff all slots are join-connected (no cross products).
   bool IsConnected() const;
 
@@ -45,6 +55,8 @@ class JoinGraph {
   int num_nodes_ = 0;
   /// Logical adjacency: adj_[a] contains each neighbour once.
   std::vector<std::vector<int>> adj_;
+  /// adj_ as slot bitmasks (slots < 64; wider queries cannot route).
+  std::vector<uint64_t> neighbor_mask_;
   /// (a, b, predicate id) triples with a < b.
   std::vector<std::tuple<int, int, int>> edges_;
   /// Distinct (a, b) pairs with a < b.

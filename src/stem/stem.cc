@@ -216,7 +216,7 @@ size_t Stem::PartitionOf(const Tuple& tuple) const {
   // Probe side: the value bound to the partitioning column, if any.
   int target = tuple.route_target_slot();
   if (target < 0 || !ServesSlot(target)) target = table_slots_.front();
-  ProbeBindingsInto(tuple, target, &partition_binds_scratch_);
+  DeriveProbeBindings(*ctx_->query, tuple, target, &partition_binds_scratch_);
   for (const auto& [col, val] : partition_binds_scratch_) {
     if (col == part_col) return val.Hash() % options_.num_partitions;
   }
@@ -391,26 +391,6 @@ void Stem::FlushDeferredBounces() {
   }
 }
 
-std::vector<std::pair<int, Value>> Stem::ProbeBindings(
-    const Tuple& tuple, int target_slot) const {
-  std::vector<std::pair<int, Value>> binds;
-  ProbeBindingsInto(tuple, target_slot, &binds);
-  return binds;
-}
-
-void Stem::ProbeBindingsInto(const Tuple& tuple, int target_slot,
-                             std::vector<std::pair<int, Value>>* out) const {
-  out->clear();
-  for (const auto& p : ctx_->query->predicates()) {
-    auto col = p.EquiJoinColumnFor(target_slot);
-    if (!col.has_value()) continue;
-    auto peer = p.EquiJoinPeerOf(target_slot);
-    if (!peer.has_value() || peer->table_slot == target_slot) continue;
-    const Value* v = tuple.ValueAt(peer->table_slot, peer->column);
-    if (v != nullptr) out->emplace_back(*col, *v);
-  }
-}
-
 void Stem::Candidates(const Tuple& tuple, int target_slot,
                       const std::vector<std::pair<int, Value>>& binds,
                       std::vector<uint32_t>* out_ids, bool* full_scan) const {
@@ -497,7 +477,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
     assert(target_slot >= 0 && "probe tuple already spans all SteM slots");
   }
 
-  ProbeBindingsInto(*tuple, target_slot, &binds_scratch_);
+  DeriveProbeBindings(*ctx_->query, *tuple, target_slot, &binds_scratch_);
   const auto& binds = binds_scratch_;
 
   if (storage_->spill_enabled()) {

@@ -48,6 +48,7 @@
 #include "runtime/module.h"
 #include "runtime/query_context.h"
 #include "stem/eot_store.h"
+#include "stem/probe_bindings.h"
 #include "stem/stem_index.h"
 #include "stem/stem_storage.h"
 
@@ -223,15 +224,6 @@ class Stem : public Module {
   /// ("hash", "ordered", "list"); empty if the column is not indexed.
   std::string IndexImplFor(int column) const;
 
-  /// Equality bindings (stem column, probe value) that `tuple` fixes when
-  /// probing for matches at `target_slot`.
-  std::vector<std::pair<int, Value>> ProbeBindings(const Tuple& tuple,
-                                                   int target_slot) const;
-  /// Hot-path variant: appends into `*out` (cleared first) instead of
-  /// allocating a fresh vector per probe.
-  void ProbeBindingsInto(const Tuple& tuple, int target_slot,
-                         std::vector<std::pair<int, Value>>* out) const;
-
  protected:
   SimTime ServiceTime(const Tuple& tuple) const override;
   void Process(TuplePtr tuple) override;
@@ -272,8 +264,8 @@ class Stem : public Module {
   /// set suffices; keeps the hot path allocation-free). The partition
   /// buffer is separate (and mutable) because PartitionOf() runs inside
   /// const ServiceTime() while binds_scratch_ may hold live probe state.
-  std::vector<std::pair<int, Value>> binds_scratch_;
-  mutable std::vector<std::pair<int, Value>> partition_binds_scratch_;
+  ProbeBindings binds_scratch_;
+  mutable ProbeBindings partition_binds_scratch_;
   std::vector<uint32_t> candidates_scratch_;
   std::vector<const Predicate*> preds_scratch_;
   std::vector<size_t> spill_parts_scratch_;

@@ -22,17 +22,17 @@ class SkipBuildPolicy : public PolicyBase {
  public:
   const char* name() const override { return "bad-skip-build"; }
 
- protected:
-  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c) override {
+  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c,
+                      const ProbeStatsView&) override {
     return c.front();
   }
 
- public:
   RouteDecision Route(const TuplePtr& tuple) override {
     const int slot = tuple->SingletonSlot();
     if (slot >= 0 && tuple->component(slot).timestamp == kTsInfinity &&
         !tuple->IsPriorProber()) {
-      auto candidates = ProbeCandidates(*tuple);
+      std::vector<int> candidates;
+      ProbeCandidates(*tuple, &candidates);
       if (!candidates.empty()) {
         return RouteDecision::Send(eddy_->StemForSlot(candidates.front()),
                                    RouteIntent::kProbe, candidates.front());
@@ -47,12 +47,11 @@ class DropProberPolicy : public PolicyBase {
  public:
   const char* name() const override { return "bad-drop-prober"; }
 
- protected:
-  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c) override {
+  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c,
+                      const ProbeStatsView&) override {
     return c.front();
   }
 
- public:
   RouteDecision Route(const TuplePtr& tuple) override {
     if (tuple->IsPriorProber() && !tuple->probe_completed()) {
       return RouteDecision::Retire();
@@ -66,12 +65,11 @@ class WrongStemPolicy : public PolicyBase {
  public:
   const char* name() const override { return "bad-wrong-stem"; }
 
- protected:
-  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c) override {
+  int ChooseProbeSlot(const Tuple&, const std::vector<int>& c,
+                      const ProbeStatsView&) override {
     return c.front();
   }
 
- public:
   RouteDecision Route(const TuplePtr& tuple) override {
     if (tuple->IsPriorProber() && !tuple->probe_completed()) {
       // Probe some OTHER table's SteM — the §3.4 duplicate recipe.
@@ -154,8 +152,8 @@ TEST_F(ConstraintsTest, BoundedRepetitionBackstopTerminates) {
       return PolicyBase::Route(tuple);
     }
 
-   protected:
-    int ChooseProbeSlot(const Tuple&, const std::vector<int>& c) override {
+    int ChooseProbeSlot(const Tuple&, const std::vector<int>& c,
+                        const ProbeStatsView&) override {
       return c.front();
     }
   };

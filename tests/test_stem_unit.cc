@@ -356,7 +356,8 @@ TEST_F(StemTest, ServesSlotAndIndexImpl) {
 
 TEST_F(StemTest, ProbeBindingsExtraction) {
   TuplePtr t = Tuple::MakeSingleton(2, 0, MakeRow({Value::Int64(9)}));
-  auto binds = stem_->ProbeBindings(*t, 1);
+  ProbeBindings binds;
+  DeriveProbeBindings(query_, *t, 1, &binds);
   ASSERT_EQ(binds.size(), 1u);
   EXPECT_EQ(binds[0].first, 0);                // S.x
   EXPECT_EQ(binds[0].second.AsInt64(), 9);

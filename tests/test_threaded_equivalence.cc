@@ -3,13 +3,15 @@
 // The deterministic simulated-clock executor is the reference semantics;
 // the wall-clock morsel-driven executor must reproduce its result set
 // exactly. This suite pins that across the whole supported matrix — every
-// routing policy × batch size {8, 64} × threads {1, 2, 4} — with the
-// brute-force evaluator as the independent anchor, and requires both
-// substrates to finish with clean audit verdicts (zero violations). It
-// also covers the LargerThanMemory spill preset, exact LIMIT clamping
-// under concurrent admission, the Engine/SQL integration, and the
-// unsupported-combination errors.
+// registered routing policy × batch size {8, 64} × threads {1, 2, 4} —
+// with the brute-force evaluator as the independent anchor, and requires
+// both substrates to finish with clean audit verdicts (zero violations).
+// It also covers the LargerThanMemory spill preset, exact LIMIT clamping
+// under concurrent admission, the Engine/SQL integration, the
+// unsupported-combination errors, and that threaded workers run the
+// registered policy itself (custom policies, PolicyParams).
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <set>
 #include <string>
@@ -17,8 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include "eddy/policies/nary_shj_policy.h"
 #include "engine/engine.h"
-#include "exec/sim_executor.h"
 #include "exec/threaded_executor.h"
 #include "tests/test_util.h"
 
@@ -32,7 +34,27 @@ using testing::TestDb;
 
 constexpr size_t kBatchSizes[] = {8, 64};
 constexpr size_t kThreadCounts[] = {1, 2, 4};
-const char* const kPolicies[] = {"nary_shj", "lottery", "benefit_cost"};
+
+/// relaxed: a test-only tally, read after the run's workers have joined.
+std::atomic<uint64_t> g_counting_consultations{0};
+
+/// A policy only this test registers: nary_shj's choice, counted. Threaded
+/// workers must consult it like any built-in (it also rides through the
+/// whole equivalence matrix, which enumerates the registry).
+class CountingPolicy final : public NaryShjPolicy {
+ public:
+  const char* name() const override { return "counting"; }
+
+  int ChooseProbeSlot(const Tuple& tuple, const std::vector<int>& candidates,
+                      const ProbeStatsView& stats) override {
+    g_counting_consultations.fetch_add(1, std::memory_order_relaxed);
+    return NaryShjPolicy::ChooseProbeSlot(tuple, candidates, stats);
+  }
+};
+
+STEMS_REGISTER_POLICY("counting", [](const PolicyParams&) {
+  return std::make_unique<CountingPolicy>();
+});
 
 /// Deterministic row generator (tests must not depend on ambient RNG).
 std::vector<RowRef> RandomIntRows(uint64_t seed, size_t n, size_t cols,
@@ -48,27 +70,40 @@ std::vector<RowRef> RandomIntRows(uint64_t seed, size_t n, size_t cols,
   return IntRows(data);
 }
 
-struct RunSummary {
-  std::set<std::string> keys;
-  std::vector<std::string> duplicates;
-  std::vector<std::string> violations;
-  ExecOutcome outcome;
-};
-
-RunSummary RunSim(const QuerySpec& query, const TestDb& db,
-                  const std::string& policy, size_t batch_size) {
+/// The reference run: the query on the sim executor through
+/// Engine::Submit (PlanQuery + Eddy on the engine clock), drained to
+/// completion. The handle's status is the engine's quiescence check; the
+/// constraint checker's audit must be clean.
+std::set<std::string> RunSim(const QuerySpec& query, const TestDb& db,
+                             const std::string& policy, size_t batch_size) {
+  Engine engine;
+  for (const TableDef& def : db.catalog.tables()) {
+    EXPECT_TRUE(
+        engine.AddTable(def, db.store.GetTable(def.name).ValueOrDie()->rows())
+            .ok());
+  }
   RunOptions options;
   options.policy = policy;
   options.batch_size = batch_size;
   options.exec.scan_defaults.period = Micros(10);
-  SimExecutor executor;
-  RunSummary run;
-  Status st = executor.Execute(query, options, db.store, &run.outcome);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  run.keys = KeysOf(run.outcome.results, &run.duplicates);
-  run.violations = run.outcome.violations;
-  return run;
+  auto submitted = engine.Submit(query, options);
+  EXPECT_TRUE(submitted.ok()) << submitted.status().ToString();
+  if (!submitted.ok()) return {};
+  QueryHandle handle = std::move(submitted).ValueOrDie();
+  std::vector<std::string> duplicates;
+  std::set<std::string> keys = KeysOf(handle.cursor().Drain(), &duplicates);
+  EXPECT_TRUE(handle.done());
+  EXPECT_TRUE(handle.status().ok()) << handle.status().ToString();
+  EXPECT_TRUE(duplicates.empty());
+  EXPECT_EQ(handle.Stats().constraint_violations, 0u);
+  return keys;
 }
+
+struct RunSummary {
+  std::set<std::string> keys;
+  std::vector<std::string> duplicates;
+  ExecOutcome outcome;
+};
 
 RunSummary RunThreaded(const QuerySpec& query, const TestDb& db,
                        const std::string& policy, size_t batch_size,
@@ -82,35 +117,32 @@ RunSummary RunThreaded(const QuerySpec& query, const TestDb& db,
   Status st = executor.Execute(query, options, db.store, &run.outcome);
   EXPECT_TRUE(st.ok()) << st.ToString();
   run.keys = KeysOf(run.outcome.results, &run.duplicates);
-  run.violations = run.outcome.violations;
   return run;
 }
 
-/// The gate itself: one sim reference run per policy, then the threaded
-/// matrix must match it key-for-key with clean audits on both sides.
+/// The gate itself: one sim reference run per registered policy, then the
+/// threaded matrix must match it key-for-key with clean audits on both
+/// sides.
 void ExpectEquivalence(const QuerySpec& query, const TestDb& db,
                        RunOptions threaded_base = {}) {
   const std::set<std::string> expected = BruteForceResultSet(query, db.store);
-  for (const char* policy : kPolicies) {
-    SCOPED_TRACE(std::string("policy=") + policy);
-    const RunSummary sim = RunSim(query, db, policy, 8);
-    EXPECT_EQ(sim.keys, expected) << "sim run diverges from brute force";
-    EXPECT_TRUE(sim.duplicates.empty());
-    EXPECT_TRUE(sim.violations.empty());
+  for (const std::string& policy : PolicyRegistry::Global().Names()) {
+    SCOPED_TRACE("policy=" + policy);
+    const std::set<std::string> sim = RunSim(query, db, policy, 8);
+    EXPECT_EQ(sim, expected) << "sim run diverges from brute force";
     for (size_t batch : kBatchSizes) {
       for (size_t threads : kThreadCounts) {
         SCOPED_TRACE("batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads));
         const RunSummary threaded =
             RunThreaded(query, db, policy, batch, threads, threaded_base);
-        EXPECT_EQ(threaded.keys, sim.keys);
+        EXPECT_EQ(threaded.keys, sim);
         EXPECT_TRUE(threaded.duplicates.empty())
             << threaded.duplicates.size() << " duplicates, first: "
             << threaded.duplicates.front();
-        // "Identical audit verdicts": both executors must report the same
-        // (empty) violation list.
-        EXPECT_EQ(threaded.violations, sim.violations);
-        EXPECT_TRUE(threaded.violations.empty());
+        // "Identical audit verdicts": the sim run's audit is clean
+        // (RunSim), so the threaded one must be too.
+        EXPECT_TRUE(threaded.outcome.violations.empty());
       }
     }
   }
@@ -207,8 +239,8 @@ TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
   const QuerySpec query = std::move(qb).Build().ValueOrDie();
 
   const std::set<std::string> expected = BruteForceResultSet(query, db.store);
-  for (const char* policy : kPolicies) {
-    SCOPED_TRACE(std::string("policy=") + policy);
+  for (const std::string& policy : PolicyRegistry::Global().Names()) {
+    SCOPED_TRACE("policy=" + policy);
     for (size_t batch : kBatchSizes) {
       for (size_t threads : kThreadCounts) {
         SCOPED_TRACE("batch=" + std::to_string(batch) +
@@ -217,7 +249,7 @@ TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
                                            RunOptions::LargerThanMemory(32));
         EXPECT_EQ(run.keys, expected);
         EXPECT_TRUE(run.duplicates.empty());
-        EXPECT_TRUE(run.violations.empty());
+        EXPECT_TRUE(run.outcome.violations.empty());
         EXPECT_GT(run.outcome.spill_ios, 0u)
             << "budget 32 over ~120 entries must spill";
         EXPECT_GT(run.outcome.entries_spilled + run.outcome.spill_ios, 0u);
@@ -243,7 +275,7 @@ TEST(ThreadedEquivalence, LimitClampIsExactUnderConcurrency) {
     const RunSummary run = RunThreaded(limited, db, "nary_shj", 8, threads);
     EXPECT_EQ(run.outcome.results.size(), 7u);
     EXPECT_TRUE(run.outcome.limit_reached);
-    EXPECT_TRUE(run.violations.empty());
+    EXPECT_TRUE(run.outcome.violations.empty());
   }
   // LIMIT 0 completes without touching a single morsel.
   QueryBuilder qb3(db.catalog);
@@ -253,6 +285,56 @@ TEST(ThreadedEquivalence, LimitClampIsExactUnderConcurrency) {
       RunThreaded(std::move(qb3).Build().ValueOrDie(), db, "nary_shj", 8, 2);
   EXPECT_TRUE(zero.outcome.results.empty());
   EXPECT_EQ(zero.outcome.totals.morsels, 0u);
+}
+
+/// R(a, b) -> S(x, y) -> T(u) with R.a = S.x and S.y = T.u: S's
+/// singletons have two probe candidates, R (slot 0) and T (slot 2). Every
+/// R row joins every S row; each T row joins one S row.
+QuerySpec ChainWithTwoCandidates(TestDb* db) {
+  std::vector<std::vector<int64_t>> r, s, t;
+  for (int64_t i = 0; i < 20; ++i) r.push_back({1, i});
+  for (int64_t k = 0; k < 5; ++k) s.push_back({1, k});
+  for (int64_t k = 0; k < 3; ++k) t.push_back({k});
+  db->AddTable("R", IntSchema({"a", "b"}), IntRows(r), {ScanSpec("R.scan")});
+  db->AddTable("S", IntSchema({"x", "y"}), IntRows(s), {ScanSpec("S.scan")});
+  db->AddTable("T", IntSchema({"u"}), IntRows(t), {ScanSpec("T.scan")});
+  QueryBuilder qb(db->catalog);
+  qb.AddTable("R").AddTable("S").AddTable("T");
+  qb.AddJoin("R.a", "S.x").AddJoin("S.y", "T.u");
+  return std::move(qb).Build().ValueOrDie();
+}
+
+TEST(ThreadedEquivalence, WorkersConsultTheRegisteredPolicy) {
+  TestDb db;
+  const QuerySpec query = ChainWithTwoCandidates(&db);
+  g_counting_consultations.store(0);
+  const RunSummary run = RunThreaded(query, db, "counting", 8, 2);
+  EXPECT_EQ(run.keys, BruteForceResultSet(query, db.store));
+  EXPECT_TRUE(run.outcome.violations.empty());
+  // Every probe a worker issues is chosen by the registered policy: no
+  // silent first-candidate fallback for names the executor does not know.
+  EXPECT_GT(run.outcome.totals.probes, 0u);
+  EXPECT_EQ(g_counting_consultations.load(), run.outcome.totals.probes);
+}
+
+TEST(ThreadedEquivalence, ProbeOrderParamIsHonoured) {
+  TestDb db;
+  const QuerySpec query = ChainWithTwoCandidates(&db);
+  const std::set<std::string> expected = BruteForceResultSet(query, db.store);
+  RunOptions t_first;
+  t_first.policy_params.probe_order = {2};
+  // One worker claims the chunks in slot order: R, then S, then T. With
+  // the default order each S singleton probes R first and emits 20 RS
+  // concatenations (100 matches), whose T probes find nothing yet; T's
+  // cascade then adds 3 ST and 60 RST matches. Probing T first, the S
+  // singletons find T empty and emit nothing: 63 matches, same results.
+  const RunSummary by_slot = RunThreaded(query, db, "nary_shj", 8, 1);
+  const RunSummary ordered =
+      RunThreaded(query, db, "nary_shj", 8, 1, t_first);
+  EXPECT_EQ(by_slot.keys, expected);
+  EXPECT_EQ(ordered.keys, expected);
+  EXPECT_EQ(by_slot.outcome.totals.matches, 163u);
+  EXPECT_EQ(ordered.outcome.totals.matches, 63u);
 }
 
 TEST(ThreadedEquivalence, EngineSubmitAndStats) {

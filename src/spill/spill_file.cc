@@ -1,5 +1,7 @@
 #include "spill/spill_file.h"
 
+#include <cstddef>
+
 namespace stems {
 
 namespace {
@@ -70,7 +72,8 @@ SimTime SpillFile::FlushPartition(size_t partition) {
   return cost;
 }
 
-SimTime SpillFile::ReadAll(size_t partition, std::vector<SpilledEntry>* out) {
+SimTime SpillFile::ReadAll(size_t partition, std::vector<SpilledEntry>* out,
+                           size_t from) {
   const std::vector<SpilledEntry>& run = runs_[partition];
   if (run.empty()) return 0;
   const uint64_t r0 = pool_->stats().disk_reads();
@@ -83,8 +86,10 @@ SimTime SpillFile::ReadAll(size_t partition, std::vector<SpilledEntry>* out) {
     pool_->Pin(KeyOf(partition, p));
   }
   for (size_t p = 0; p < pages; ++p) pool_->Unpin(KeyOf(partition, p));
-  out->reserve(out->size() + run.size());
-  for (const SpilledEntry& e : run) out->push_back(e);
+  if (from < run.size()) {
+    out->insert(out->end(),
+                run.begin() + static_cast<std::ptrdiff_t>(from), run.end());
+  }
   ++restores_;
   disk_reads_ += pool_->stats().disk_reads() - r0;
   disk_writes_ += pool_->stats().disk_writes() - w0;

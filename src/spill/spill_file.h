@@ -2,10 +2,10 @@
 //
 // A SpillFile holds one append-only run per hash partition. Appends land in
 // the partition's tail page inside the pool (write-behind) and are flushed
-// through when the page fills; Restore() reads every page of a partition
-// back through the pool (hits are free, misses pay read latency), hands the
-// entries to the caller, and discards the run — the partition becomes
-// resident again in the owning SteM.
+// through when the page fills; ReadAll() reads every page of a partition
+// back through the pool (hits are free, misses pay read latency) when the
+// owning SteM faults the partition in. The run is retained after a read, so
+// re-spilling an unmodified partition writes nothing (see ReadAll).
 //
 // This is the §3.1 Grace partitioning story completed for memory pressure:
 // "partition-clustered bounce-backs" wrote build tuples in partition order;
@@ -40,13 +40,16 @@ class SpillFile {
   /// (page creation, fill write-through, possible pool write-back).
   SimTime Append(size_t partition, RowRef row, BuildTs ts);
 
-  /// Reads `partition`'s run back (through the pool) and copies its
-  /// entries into `*out` (appended). The run is RETAINED: while the
-  /// restored partition stays unmodified in memory, re-spilling it is free
-  /// (drop the memory copy, the run is still the truth) — the clean-page
-  /// property that keeps fault-in/re-spill cycles from rewriting disk.
-  /// Returns the virtual read cost.
-  SimTime ReadAll(size_t partition, std::vector<SpilledEntry>* out);
+  /// Reads `partition`'s whole run back (through the pool, every page) and
+  /// copies the entries at run positions `from` and later into `*out`
+  /// (appended). The owning SteM already holds the earlier entries in
+  /// place, so it asks only for the ones appended while the partition was
+  /// spilled. The run is RETAINED: while the restored partition stays
+  /// unmodified in memory, re-spilling it is free (the run is still the
+  /// truth), so fault-in/re-spill cycles do not rewrite disk. Returns the
+  /// virtual read cost, which does not depend on `from`.
+  SimTime ReadAll(size_t partition, std::vector<SpilledEntry>* out,
+                  size_t from);
 
   /// Discards `partition`'s run (entries and pool pages). Called before a
   /// rewrite when the in-memory partition diverged from the run.
@@ -57,7 +60,7 @@ class SpillFile {
   /// durably on disk, not only in the pool's write-behind buffer.
   SimTime FlushPartition(size_t partition);
 
-  /// Stat-only estimate of Restore(partition)'s cost right now: pages not
+  /// Stat-only estimate of ReadAll(partition)'s cost right now: pages not
   /// resident in the pool times the expected read cost.
   SimTime EstimateRestoreCost(size_t partition) const;
 

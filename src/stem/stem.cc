@@ -544,6 +544,11 @@ void Stem::ProcessProbe(TuplePtr tuple) {
 
   bool full_scan = false;
   Candidates(*tuple, target_slot, binds, &candidates_scratch_, &full_scan);
+  // Spilled partitions keep their slots and index postings; their rows are
+  // on disk only, so the probe must not see them.
+  if (storage_->partitions_spilled() > 0) {
+    storage_->DropSpilled(&candidates_scratch_);
+  }
   const auto& candidates = candidates_scratch_;
 
   // All not-yet-passed predicates evaluable on the concatenation (paper
@@ -570,7 +575,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   const auto& entries = storage_->entries();
   for (uint32_t id : candidates) {
     const StemStorage::Entry& entry = entries[id];
-    if (entry.row == nullptr) continue;  // evicted / spilled
+    if (entry.row == nullptr) continue;  // evicted
     // Visibility epoch (docs/sharing.md): on pooled storage an entry's
     // timestamp *for this query* lives in the overlay; entries only other
     // queries built are invisible — the probe must not treat concurrent

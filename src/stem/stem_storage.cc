@@ -17,12 +17,21 @@ struct StemStorage::Spill {
   /// Partitioning column (first indexed join column); -1 degenerates to a
   /// single partition.
   int part_col = -1;
-  std::vector<uint8_t> resident;          ///< per partition
-  std::vector<size_t> live_in_partition;  ///< resident live entries
-  std::vector<uint64_t> probe_counts;     ///< per-partition heat
-  /// entries_ ids per partition, so a spill-out touches only its own
-  /// partition instead of scanning every entry (stale tombstoned ids are
-  /// skipped and dropped at the next spill).
+  std::vector<uint8_t> resident;  ///< per partition
+  /// Live slotted entries per partition, resident or not (a clean spill
+  /// or restore moves the whole count in or out of live_entries_). While a
+  /// partition is spilled these are exactly the leading entries of its run:
+  /// a spill-out leaves the run equal to the live slots, and nothing
+  /// evicts a spilled slot. The run's tail past them is the rows appended
+  /// while spilled, the only ones a fault-in has to slot.
+  std::vector<size_t> live_in_partition;
+  std::vector<uint64_t> probe_counts;  ///< per-partition heat
+  /// Partition of every slot in entries_ (0 for slots that were already
+  /// tombstones when spill was enabled).
+  std::vector<uint16_t> part_of_entry;
+  /// entries_ ids per partition, ascending, so a dirty spill-out rewrites
+  /// only its own partition (evicted ids are dropped there) and a restore
+  /// knows its oldest slot.
   std::vector<std::vector<uint32_t>> ids_in_partition;
   /// Run file still equals the partition's content (clean): re-spilling is
   /// free — drop the memory copy. Cleared by any in-memory mutation.
@@ -34,6 +43,7 @@ struct StemStorage::Spill {
   /// Facade whose probe scheduled each pending fault; the restore I/O is
   /// attributed to it at completion if it is still attached.
   std::vector<Stem*> fault_requester;
+  /// A fault-in's unslotted run tail (reused buffer).
   std::vector<SpilledEntry> restore_scratch;
   size_t spilled_partitions = 0;
   size_t pending_fault_events = 0;
@@ -65,19 +75,25 @@ void StemStorage::Detach(Stem* facade) {
   }
 }
 
-void StemStorage::Insert(RowRef row, BuildTs stored_ts) {
+void StemStorage::AddSlot(RowRef row, BuildTs stored_ts, size_t p) {
   const uint32_t id = static_cast<uint32_t>(entries_.size());
   for (auto& [col, index] : indexes_) {
     index->Insert(row->value(col), id);
   }
   if (spill_ != nullptr) {
-    const size_t p = SpillPartitionOfRow(*row);
-    ++spill_->live_in_partition[p];
+    spill_->part_of_entry.push_back(static_cast<uint16_t>(p));
     spill_->ids_in_partition[p].push_back(id);
-    spill_->run_valid[p] = 0;  // memory diverges from any retained run
+    ++spill_->live_in_partition[p];
   }
-  dedup_.insert(row);
   entries_.push_back(Entry{std::move(row), stored_ts});
+}
+
+void StemStorage::Insert(RowRef row, BuildTs stored_ts) {
+  const size_t p = SpillPartitionOfRow(*row);
+  assert(PartitionResident(p));
+  if (spill_ != nullptr) spill_->run_valid[p] = 0;  // memory diverges
+  dedup_.insert(row);
+  AddSlot(std::move(row), stored_ts, p);
   ++live_entries_;
 }
 
@@ -85,11 +101,15 @@ size_t StemStorage::EvictOldest(size_t n) {
   if (pooled_) return 0;  // shared state is never windowed (docs/sharing.md)
   size_t evicted = 0;
   while (evicted < n && next_eviction_ < entries_.size()) {
-    Entry& victim = entries_[next_eviction_++];
+    const size_t id = next_eviction_++;
+    Entry& victim = entries_[id];
     if (victim.row == nullptr) continue;  // already a tombstone
     if (spill_ != nullptr) {
-      const size_t p = SpillPartitionOfRow(*victim.row);
-      if (spill_->live_in_partition[p] > 0) --spill_->live_in_partition[p];
+      const size_t p = spill_->part_of_entry[id];
+      // On disk: not in memory, so not windowed out of it. Its restore
+      // rewinds the cursor back here.
+      if (!spill_->resident[p]) continue;
+      --spill_->live_in_partition[p];
       spill_->run_valid[p] = 0;  // a retained run would resurrect the row
     }
     dedup_.erase(victim.row);
@@ -116,6 +136,7 @@ void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
   s.resident.assign(n, 1);
   s.live_in_partition.assign(n, 0);
   s.probe_counts.assign(n, 0);
+  s.part_of_entry.assign(entries_.size(), 0);
   s.run_valid.assign(n, 0);
   s.fault_scheduled.assign(n, 0);
   s.waiters.assign(n, 0);
@@ -124,6 +145,7 @@ void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
   for (uint32_t id = 0; id < entries_.size(); ++id) {
     if (entries_[id].row == nullptr) continue;
     const size_t p = SpillPartitionOfRow(*entries_[id].row);
+    s.part_of_entry[id] = static_cast<uint16_t>(p);
     ++s.live_in_partition[p];
     s.ids_in_partition[p].push_back(id);
   }
@@ -158,6 +180,15 @@ size_t StemStorage::SpillPartitionOfRow(const Row& row) const {
 
 void StemStorage::CountProbe(size_t p) {
   if (spill_ != nullptr) ++spill_->probe_counts[p];
+}
+
+void StemStorage::DropSpilled(std::vector<uint32_t>* ids) const {
+  const Spill& s = *spill_;
+  size_t kept = 0;
+  for (uint32_t id : *ids) {
+    if (s.resident[s.part_of_entry[id]]) (*ids)[kept++] = id;
+  }
+  ids->resize(kept);
 }
 
 StemStorage::SpillResult StemStorage::SpillColdestPartition() {
@@ -196,25 +227,29 @@ StemStorage::SpillResult StemStorage::SpillColdestPartition() {
   const uint64_t ios_before = s.file->disk_ios();
   const uint64_t bytes_before = s.file->bytes_written();
   // Clean partition (faulted in earlier, unmodified since): the run file
-  // already holds exactly this content, so spilling is dropping the memory
-  // copy — zero I/O. Otherwise rewrite the run and flush it.
+  // already holds exactly this content, so spilling only flips residency —
+  // no I/O and no per-row work. Otherwise rewrite the run from the live
+  // slots (dropping evicted ids) and flush it.
   const bool clean = s.run_valid[victim] &&
                      s.file->EntriesIn(victim) == s.live_in_partition[victim];
-  if (!clean) s.file->ClearPartition(victim);
-  for (uint32_t id : s.ids_in_partition[victim]) {
-    Entry& entry = entries_[id];
-    if (entry.row == nullptr) continue;  // evicted or stale since listed
-    if (!clean) out.cost += s.file->Append(victim, entry.row, entry.ts);
-    entry.row = nullptr;  // tombstone; dedup_ keeps the row's identity
-    --live_entries_;
-    ++out.entries;
-  }
-  s.ids_in_partition[victim].clear();
   if (!clean) {
+    s.file->ClearPartition(victim);
+    std::vector<uint32_t>& ids = s.ids_in_partition[victim];
+    size_t kept = 0;
+    for (uint32_t id : ids) {
+      const Entry& entry = entries_[id];
+      if (entry.row == nullptr) continue;  // evicted since listed
+      out.cost += s.file->Append(victim, entry.row, entry.ts);
+      ids[kept++] = id;
+    }
+    ids.resize(kept);
     out.cost += s.file->FlushPartition(victim);  // run durably on disk
   }
+  // Slots, index postings and dedup identity stay; probes skip the
+  // partition's ids until it is resident again.
+  out.entries = s.live_in_partition[victim];
+  live_entries_ -= out.entries;
   s.run_valid[victim] = 1;
-  s.live_in_partition[victim] = 0;
   s.resident[victim] = 0;
   ++s.spilled_partitions;
   s.entries_spilled_total += out.entries;
@@ -228,17 +263,26 @@ StemStorage::SpillResult StemStorage::RestorePartitionLocked(size_t p) {
   SpillResult out;
   if (s.resident[p]) return out;
   const uint64_t ios_before = s.file->disk_ios();
+  // Every page is fetched (the I/O model is unchanged), but only the run's
+  // unslotted tail — rows appended while spilled — is copied out and
+  // slotted; their dedup identity was registered at append time.
+  assert(s.file->EntriesIn(p) >= s.live_in_partition[p]);
   s.restore_scratch.clear();
-  out.cost = s.file->ReadAll(p, &s.restore_scratch);
+  out.cost = s.file->ReadAll(p, &s.restore_scratch, s.live_in_partition[p]);
   s.resident[p] = 1;
   --s.spilled_partitions;
-  out.entries = s.restore_scratch.size();
   for (SpilledEntry& e : s.restore_scratch) {
-    Insert(std::move(e.row), e.ts);
+    AddSlot(std::move(e.row), e.ts, p);
   }
   s.restore_scratch.clear();
-  // The run is retained and, right after restoring, equals the in-memory
-  // partition (Insert cleared the flag; re-arm it last).
+  out.entries = s.live_in_partition[p];
+  live_entries_ += out.entries;
+  // Slots passed over by EvictOldest while on disk are evictable again.
+  const std::vector<uint32_t>& ids = s.ids_in_partition[p];
+  if (!ids.empty() && ids.front() < next_eviction_) {
+    next_eviction_ = ids.front();
+  }
+  // The retained run equals the in-memory partition again.
   s.run_valid[p] = 1;
   s.last_faulted = p;
   ++s.faults;

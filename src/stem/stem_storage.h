@@ -39,8 +39,11 @@ class Stem;
 
 class StemStorage : public std::enable_shared_from_this<StemStorage> {
  public:
+  /// One slot of the entry array. A slot keeps its row, its index
+  /// postings and its id while its spill partition is on disk: residency
+  /// is a per-partition property (PartitionResident), not a per-slot one.
   struct Entry {
-    RowRef row;  ///< null after spill-out or eviction (tombstone)
+    RowRef row;  ///< null after eviction (tombstone)
     /// Private storage: the owning query's BuildTs. Pooled storage: the
     /// insertion sequence number (per-query timestamps live in each
     /// facade's overlay; the sequence survives spill round trips and is
@@ -73,21 +76,27 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
 
   // --- rows, dedup identity, indexes -----------------------------------------
 
-  /// Is `row` (by content) physically stored — resident, spilled, or
-  /// tombstoned-with-identity? Builders use this for set semantics within
-  /// one query and for cross-query build avoidance.
+  /// Is `row` (by content) physically stored, in a resident or a spilled
+  /// partition? Builders use this for set semantics within one query and
+  /// for cross-query build avoidance.
   bool Contains(const RowRef& row) const { return dedup_.count(row) > 0; }
 
-  /// Physically inserts a resident row: indexes it, updates spill partition
-  /// accounting, registers its dedup identity.
+  /// Physically inserts a row into a resident partition: indexes it,
+  /// updates spill partition accounting, registers its dedup identity.
   void Insert(RowRef row, BuildTs stored_ts);
 
-  /// Evicts up to `n` of the oldest live entries (sliding-window
-  /// semantics). Pooled storage refuses (returns 0): evicting shared state
-  /// would silently window every attached query's join.
+  /// Evicts up to `n` of the oldest live resident entries, in slot order
+  /// (sliding-window semantics). Entries of spilled partitions are passed
+  /// over; restoring their partition rewinds the cursor to them, so they
+  /// are evicted in slot order once resident again. Pooled storage refuses
+  /// (returns 0): evicting shared state would silently window every
+  /// attached query's join.
   size_t EvictOldest(size_t n);
 
+  /// Every slot ever built (tombstones included), whatever the residency
+  /// of its partition; probes must DropSpilled() before reading rows.
   const std::vector<Entry>& entries() const { return entries_; }
+  /// Live entries of resident partitions: what counts against budgets.
   size_t live_entries() const { return live_entries_; }
 
   std::vector<std::pair<int, std::unique_ptr<StemIndex>>>& indexes() {
@@ -120,11 +129,19 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   size_t SpillPartitionOfRow(const Row& row) const;
   /// Records probe heat against a partition (victim-selection signal).
   void CountProbe(size_t p);
+  /// Removes from `ids` the entry ids whose partition is spilled. A probe
+  /// calls it only while partitions_spilled() > 0, so SteMs without spill
+  /// pay nothing per candidate.
+  void DropSpilled(std::vector<uint32_t>* ids) const;
 
   /// Moves the coldest resident partition to its run file (exact: rows,
-  /// sequence numbers and dedup identity are preserved).
+  /// sequence numbers and dedup identity are preserved). A clean partition
+  /// (its retained run still matches memory) only changes residency; a
+  /// dirty one rewrites its run first.
   SpillResult SpillColdestPartition();
-  /// Restores a partition synchronously (no-op result if resident).
+  /// Restores a partition synchronously (no-op result if resident). The
+  /// whole run is read through the pool; only rows appended while the
+  /// partition was spilled get new slots and index postings.
   SpillResult FaultInPartition(size_t p);
   /// Appends a build directly to a spilled partition's run (the row never
   /// touches memory; its dedup identity is registered).
@@ -158,6 +175,10 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
 
   void CompleteFaultIn(size_t p);
   SpillResult RestorePartitionLocked(size_t p);
+  /// Appends a slot for `row` in partition `p` and indexes it. Dedup
+  /// identity and live_entries_ are the callers' business: a restore
+  /// neither re-registers the row nor counts it before the partition does.
+  void AddSlot(RowRef row, BuildTs stored_ts, size_t p);
 
   std::string table_name_;
   Simulation* sim_;

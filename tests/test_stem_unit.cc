@@ -1,11 +1,14 @@
 // Unit tests: the SteM module in isolation — build/probe mechanics, the
 // SteM BounceBack and TimeStamp constraints (paper Table 2), set-semantics
-// dedup, EOT coverage, eviction, index implementations, Grace mode.
+// dedup, EOT coverage, eviction, index implementations, Grace mode, and
+// spill partitions that leave and return in place.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
+#include "spill/buffer_pool.h"
 #include "stem/eot_store.h"
 #include "stem/stem.h"
 #include "stem/stem_index.h"
@@ -151,10 +154,42 @@ class StemTest : public ::testing::Test {
     return m;
   }
 
+  /// Makes the SteM under test spillable: `partitions` hash partitions on
+  /// S.x, small pages so runs span several of them.
+  void EnableSpill(size_t partitions) {
+    SpillOptions so;
+    so.enabled = true;
+    so.partitions = partitions;
+    so.page_entries = 4;
+    so.pool_frames = 2;
+    pool_ = std::make_unique<BufferPool>(so);
+    stem_->EnableSpill(pool_.get(), so);
+  }
+
+  /// Smallest S.x whose rows hash to spill partition `p`.
+  int64_t KeyInPartition(size_t p) const {
+    for (int64_t x = 0;; ++x) {
+      if (stem_->storage()->SpillPartitionOfRow(
+              *MakeRow({Value::Int64(x), Value::Int64(0)})) == p) {
+        return x;
+      }
+    }
+  }
+
+  /// Build timestamps of the live slots, in slot order.
+  std::vector<BuildTs> LiveTimestamps() const {
+    std::vector<BuildTs> ts;
+    for (const auto& e : stem_->storage()->entries()) {
+      if (e.row != nullptr) ts.push_back(e.ts);
+    }
+    return ts;
+  }
+
   std::unique_ptr<TestDb> db_;
   QuerySpec query_;
   Simulation sim_;
   QueryContext ctx_;
+  std::unique_ptr<BufferPool> pool_;  // outlives stem_ (declared first)
   std::unique_ptr<Stem> stem_;
   std::vector<TuplePtr> out_;
 };
@@ -326,6 +361,127 @@ TEST_F(StemTest, EvictionSlidingWindow) {
   out_.clear();
   BuildS(1, 10);
   EXPECT_EQ(stem_->duplicates_absorbed(), 0u);
+}
+
+TEST_F(StemTest, SpillCyclesKeepSlotsAndIndexesBounded) {
+  // A partition leaves and returns in place: repeated spill/fault-in
+  // cycles must not grow the entry array or the index postings.
+  EnableSpill(/*partitions=*/1);
+  for (int64_t i = 0; i < 16; ++i) BuildS(i % 4, i);  // 4 rows per key
+  StemStorage& storage = *stem_->storage();
+
+  auto sorted_match_payloads = [this] {
+    std::vector<int64_t> p;
+    for (const auto& m : Matches()) p.push_back(m->ValueAt(1, 1)->AsInt64());
+    std::sort(p.begin(), p.end());
+    return p;
+  };
+  out_.clear();
+  ProbeR(2, /*ts=*/100);
+  const std::vector<int64_t> before = sorted_match_payloads();
+  ASSERT_EQ(before, (std::vector<int64_t>{2, 6, 10, 14}));
+
+  // First cycle: the dirty spill writes the run; the fault-in reads it.
+  const StemStorage::SpillResult first = storage.SpillColdestPartition();
+  EXPECT_EQ(first.entries, 16u);
+  EXPECT_GT(first.ios, 0u);
+  EXPECT_EQ(stem_->num_entries(), 0u);
+  EXPECT_EQ(storage.FaultInPartition(0).entries, 16u);
+  const size_t slots = storage.entries().size();
+  std::vector<size_t> postings;
+  for (const auto& [col, index] : storage.indexes()) {
+    postings.push_back(index->size());
+  }
+  EXPECT_EQ(slots, 16u);
+
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    const StemStorage::SpillResult out = storage.SpillColdestPartition();
+    EXPECT_EQ(out.entries, 16u);
+    EXPECT_EQ(out.ios, 0u) << "clean re-spill wrote the run again";
+    EXPECT_EQ(stem_->num_entries(), 0u);
+    EXPECT_EQ(stem_->partitions_spilled(), 1u);
+    // The probe faults the partition back in (kFaultIn) and sees it whole.
+    out_.clear();
+    ProbeR(2, /*ts=*/100);
+    ASSERT_EQ(sorted_match_payloads(), before) << "cycle " << cycle;
+    EXPECT_EQ(stem_->num_entries(), 16u);
+    ASSERT_EQ(storage.entries().size(), slots) << "cycle " << cycle;
+    for (size_t i = 0; i < postings.size(); ++i) {
+      ASSERT_EQ(storage.indexes()[i].second->size(), postings[i])
+          << "cycle " << cycle;
+    }
+  }
+  EXPECT_EQ(stem_->duplicates_absorbed(), 0u);
+}
+
+TEST_F(StemTest, RowsBuiltWhileSpilledGetOneSlot) {
+  EnableSpill(/*partitions=*/1);
+  for (int64_t i = 0; i < 8; ++i) BuildS(i % 2, i);
+  StemStorage& storage = *stem_->storage();
+  storage.SpillColdestPartition();
+  BuildS(1, 100);  // appended to the run; no slot while spilled
+  BuildS(1, 101);
+  EXPECT_EQ(storage.entries().size(), 8u);
+  BuildS(1, 100);  // dedup identity survives spill
+  EXPECT_EQ(stem_->duplicates_absorbed(), 1u);
+
+  EXPECT_EQ(storage.FaultInPartition(0).entries, 10u);
+  EXPECT_EQ(storage.entries().size(), 10u);
+  // The restored partition matches its run, so the next cycles are clean
+  // and slot nothing new.
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    EXPECT_EQ(storage.SpillColdestPartition().ios, 0u);
+    EXPECT_EQ(storage.FaultInPartition(0).entries, 10u);
+  }
+  EXPECT_EQ(storage.entries().size(), 10u);
+  EXPECT_EQ(storage.indexes().front().second->size(), 10u);
+  out_.clear();
+  ProbeR(1, /*ts=*/100);
+  EXPECT_EQ(Matches().size(), 6u);
+}
+
+TEST_F(StemTest, WindowedEvictionReachesRowsRestoredInPlace) {
+  // max_entries and spill together on private storage: while a partition
+  // is on disk the eviction cursor passes its slots; restoring it must
+  // make them evictable again, oldest build first.
+  StemOptions o;
+  o.max_entries = 6;
+  Init({ScanSpec("S.scan")}, o);
+  EnableSpill(/*partitions=*/2);
+  StemStorage& storage = *stem_->storage();
+  const int64_t ka = KeyInPartition(0);
+  const int64_t kb = KeyInPartition(1);
+  const size_t pa = 0;
+  for (int64_t i = 0; i < 4; ++i) BuildS(ka, i);  // ts 1..4, slots 0..3
+  for (int64_t i = 0; i < 2; ++i) BuildS(kb, i);  // ts 5..6, slots 4..5
+  // Coldest-partition tie goes to the larger one: A.
+  ASSERT_EQ(storage.SpillColdestPartition().entries, 4u);
+  ASSERT_FALSE(storage.PartitionResident(pa));
+  // A's slots stay in place, hidden from probes while on disk.
+  std::vector<uint32_t> ids{0, 1, 2, 3, 4, 5};
+  storage.DropSpilled(&ids);
+  EXPECT_EQ(ids, (std::vector<uint32_t>{4, 5}));
+  EXPECT_EQ(storage.entries().size(), 6u);
+  // Five more B builds: the window overflows once, and the cursor passes
+  // A's four spilled slots to evict B's oldest row (ts 5).
+  for (int64_t i = 2; i < 7; ++i) BuildS(kb, i);
+  EXPECT_EQ(stem_->evictions(), 1u);
+  EXPECT_EQ(stem_->num_entries(), 6u);
+
+  EXPECT_EQ(storage.FaultInPartition(pa).entries, 4u);
+  EXPECT_EQ(stem_->num_entries(), 10u);
+  // The restored rows are the oldest live ones and go first, in build order.
+  for (BuildTs expected = 1; expected <= 4; ++expected) {
+    ASSERT_EQ(LiveTimestamps().front(), expected);
+    ASSERT_EQ(stem_->EvictOldest(1), 1u);
+    const std::vector<BuildTs> live = LiveTimestamps();
+    EXPECT_EQ(std::count(live.begin(), live.end(), expected), 0);
+  }
+  EXPECT_EQ(LiveTimestamps().front(), 6u);
+  // None is kept forever: the window can drain completely.
+  EXPECT_EQ(stem_->EvictOldest(100), 6u);
+  EXPECT_EQ(stem_->num_entries(), 0u);
+  EXPECT_TRUE(LiveTimestamps().empty());
 }
 
 TEST_F(StemTest, GraceModeDefersBouncesUntilBatchOrFlush) {

@@ -17,6 +17,22 @@ constexpr uint64_t kPumpChunk = 256;
 Engine::Engine() = default;
 Engine::~Engine() = default;
 
+namespace internal {
+
+QueryExecution::~QueryExecution() {
+  // Stop-and-join: the run reads this execution's spec until its workers
+  // exit. A run that already finished is only joined (at once, or after
+  // its last worker's final instructions).
+  if (threaded != nullptr) threaded->Stop();
+}
+
+bool QueryExecution::done() const {
+  if (cancelled) return true;
+  return threaded != nullptr ? threaded->results().closed() : finished;
+}
+
+}  // namespace internal
+
 Status Engine::AddTable(TableDef def, std::vector<RowRef> rows) {
   const std::string name = def.name;
   Schema schema = def.schema;
@@ -51,23 +67,20 @@ Result<QueryHandle> Engine::Submit(const QuerySpec& query,
   }
 
   if (options.executor == ExecutorKind::kThreaded) {
-    // Wall-clock morsel-driven execution (docs/parallelism.md): runs to
-    // completion on the pool inside Submit — the handle is born finished
-    // and its cursors never touch the shared clock.
+    // Wall-clock morsel-driven execution (docs/parallelism.md): Start
+    // validates, queues the run on the pool and returns; the workers
+    // stream results into the run's channel on their own threads, and the
+    // handle's cursors never touch the shared clock. The engine keeps no
+    // reference: dropping the last handle stops the run.
     if (threaded_pool_ == nullptr) {
       threaded_pool_ = std::make_unique<ThreadPoolExecutor>();
     }
-    ExecOutcome outcome;
     ExecObs obs;
     obs.registry = exec->registry;
     obs.tracer = exec->tracer.get();
-    STEMS_RETURN_NOT_OK(
-        threaded_pool_->Execute(exec->query, options, store_, &outcome, obs));
-    exec->threaded = std::move(outcome);
-    exec->finished = true;
-    MarkFinished(exec.get());
-    queries_.push_back(exec);
-    CheckCompletions();  // prune any retired handle-less executions
+    STEMS_ASSIGN_OR_RETURN(
+        exec->threaded,
+        threaded_pool_->Start(exec->query, options, store_, obs));
     return QueryHandle(exec);
   }
 
@@ -177,7 +190,7 @@ void Engine::RunAll() {
 }
 
 size_t Engine::active_queries() const {
-  size_t n = 0;
+  size_t n = threaded_pool_ != nullptr ? threaded_pool_->live_runs() : 0;
   for (const auto& exec : queries_) {
     if (!exec->finished && !exec->cancelled) ++n;
   }

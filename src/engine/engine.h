@@ -27,11 +27,18 @@
 // shared discrete-event clock, so their events interleave in virtual-time
 // order — pumping any one cursor advances every live query.
 //
+// A threaded query (RunOptions::executor = kThreaded) streams instead:
+// Submit starts it on the engine's ThreadPoolExecutor and returns, its
+// workers push result batches into a bounded channel, and its cursor
+// blocks on that channel (docs/parallelism.md, "Streaming and
+// backpressure").
+//
 // Engine::Submit(QuerySpec) with QueryBuilder remains the programmatic
 // escape hatch; the planner's PlanQuery() is the layer below that.
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,6 +61,7 @@ namespace stems {
 class Engine;
 class QueryHandle;
 class ResultCursor;
+class ThreadedRun;
 class ThreadPoolExecutor;
 
 /// Execution statistics of one submitted query (snapshot; final once
@@ -77,9 +85,10 @@ struct QueryStats {
   /// skipped because a concurrent query had already stored the row.
   uint64_t builds_avoided = 0;
   /// Virtual time at which the engine *observed* completion; kSimTimeNever
-  /// while running. With several interleaved queries this can lag the
-  /// query's actual last event by up to one pump slice (other queries'
-  /// events may advance the shared clock within the same slice).
+  /// while running, and always for threaded queries (they have no virtual
+  /// clock). With several interleaved queries this can lag the query's
+  /// actual last event by up to one pump slice (other queries' events may
+  /// advance the shared clock within the same slice).
   SimTime completed_at = kSimTimeNever;
   std::string policy;
   bool cancelled = false;
@@ -111,12 +120,19 @@ struct QueryExecution {
   Engine* engine = nullptr;
   QuerySpec query;  ///< owned copy; the eddy points into it
   /// Sim executions own an eddy on the shared clock; threaded executions
-  /// own a completed ExecOutcome instead (eddy stays null — every eddy
+  /// own a streaming ThreadedRun instead (eddy stays null — every eddy
   /// deref below the handle API is branched on this).
   std::unique_ptr<Eddy> eddy;
-  std::optional<ExecOutcome> threaded;
+  std::shared_ptr<ThreadedRun> threaded;
+  /// Threaded executions: the handle's buffer — rows moved out of the
+  /// run's channel, unread from threaded_head on. A cursor moves each row
+  /// out as it hands it over, so read rows hold no tuple and the buffer
+  /// keeps only what the consumer has not read yet.
+  std::vector<TuplePtr> threaded_rows;
+  size_t threaded_head = 0;
   std::string policy_name;
   size_t next_result = 0;  ///< cursor consumption position (shared)
+  /// Sim completion (threaded completion is the run's channel closing).
   bool finished = false;
   bool cancelled = false;
   SimTime completed_at = kSimTimeNever;
@@ -135,6 +151,13 @@ struct QueryExecution {
   /// non-quiescent eddy): the buffered results may be incomplete. Surfaced
   /// through QueryHandle::status() / ResultCursor::status().
   Status error;
+
+  /// The last handle is gone: a threaded run still going is stopped and
+  /// its workers joined.
+  ~QueryExecution();
+  /// Every result produced (or cancelled). For a threaded run this reads
+  /// the channel's completion under its lock.
+  bool done() const;
 };
 
 }  // namespace internal
@@ -182,15 +205,26 @@ class RowView {
   const QuerySpec* query_ = nullptr;
 };
 
-/// Pull-based streaming access to a query's results, layered over the
-/// eddy's push output. Next() lazily advances the shared simulation just
-/// far enough to produce the next result. All cursors of one query share
-/// the consumption position (they are views of the same stream).
+/// Pull-based streaming access to a query's results. On the sim executor
+/// Next() lazily advances the shared simulation just far enough to produce
+/// the next result; on the threaded executor it takes the next row the
+/// workers pushed, waiting for one if none is there yet. All cursors of one
+/// query share the consumption position (they are views of the same
+/// stream).
 class ResultCursor {
  public:
   /// The next result in production order; std::nullopt once the query has
   /// finished and every result was returned, or after Cancel().
   std::optional<TuplePtr> Next();
+
+  /// For callers that must not block (the server's engine thread): true
+  /// when the next `rows` calls to Next() — or the end of the stream —
+  /// are available without waiting. Otherwise arranges for `on_ready` to be
+  /// called once, from a worker thread, when that may have become true,
+  /// and returns false; ask again then. Sim queries always return true:
+  /// their Next() advances the shared clock instead of waiting. `on_ready`
+  /// must be cheap and thread-safe, and must not call back into the engine.
+  bool NotifyWhenReady(size_t rows, std::function<void()> on_ready);
 
   /// Next() with the query's projection applied: a schema-aware row.
   std::optional<RowView> NextRow();
@@ -230,7 +264,9 @@ class ResultCursor {
 };
 
 /// Caller's grip on a submitted query: cursor, stats, cancellation. Copyable
-/// (all copies refer to the same execution); must not outlive its Engine.
+/// (all copies refer to the same execution); must not outlive its Engine
+/// (except to be destroyed: the Engine's teardown already stopped and
+/// joined a threaded query's workers).
 class QueryHandle {
  public:
   QueryHandle() = default;
@@ -241,10 +277,12 @@ class QueryHandle {
   ResultCursor cursor() const { return ResultCursor(exec_); }
 
   /// Runs this query to completion (results stay buffered for the cursor).
+  /// On a threaded query this drains the result channel into the handle's
+  /// buffer, so the workers never stall on a caller that holds no cursor.
   void Wait();
 
   /// True once the query has produced every result (or was cancelled).
-  bool done() const { return exec_->finished || exec_->cancelled; }
+  bool done() const { return exec_->done(); }
 
   /// Execution health: OK while running and on clean completion; non-OK
   /// when the engine forced completion because the shared clock went idle
@@ -255,6 +293,7 @@ class QueryHandle {
   /// Cooperatively cancels the query: pending and future tuples are
   /// dropped, cursors return std::nullopt, no further results appear. On an
   /// already-finished query this discards the unconsumed buffered results.
+  /// A threaded query's workers are stopped and joined before it returns.
   void Cancel();
 
   QueryStats Stats() const;
@@ -391,10 +430,13 @@ class Engine {
   /// access method, one SM per selection around an eddy), instantiates the
   /// named routing policy from the registry, and starts the scans. The
   /// returned handle streams results; execution advances when a cursor is
-  /// pumped or RunAll() is called.
+  /// pumped or RunAll() is called. A threaded query instead starts on the
+  /// engine's worker threads and runs on its own; threaded Submits queue
+  /// in submit order inside the executor and never block the caller.
   Result<QueryHandle> Submit(const QuerySpec& query, RunOptions options = {});
 
-  /// Drives the shared clock until every live query completes.
+  /// Drives the shared clock until every live sim query completes
+  /// (threaded queries run on their own threads; Wait() on their handles).
   void RunAll();
 
   /// Queries submitted and not yet finished or cancelled.
@@ -420,8 +462,9 @@ class Engine {
   void PumpToCompletion(internal::QueryExecution* exec);
   /// Marks quiescent queries finished (draining their parked tuples).
   void CheckCompletions();
-  /// Completion bookkeeping shared by every finish path: stamps
-  /// completed_at / wall_us and publishes the completion metrics.
+  /// Sim completion bookkeeping shared by every finish path: stamps
+  /// completed_at / wall_us and publishes the completion metrics (a
+  /// threaded run publishes its own when its last worker finishes).
   void MarkFinished(internal::QueryExecution* exec);
 
   Catalog catalog_;
@@ -435,10 +478,13 @@ class Engine {
   /// Engine-wide metric registry (handles are pointer-stable; queries,
   /// executors and the server all publish into it).
   obs::MetricsRegistry registry_;
+  /// Sim executions; threaded ones live only as long as their handles.
   std::vector<std::shared_ptr<internal::QueryExecution>> queries_;
   /// Lazily created wall-clock executor (RunOptions::executor=threaded).
-  /// One per engine: concurrent threaded Submits serialize on its run
-  /// mutex instead of oversubscribing the machine.
+  /// One per engine: concurrent threaded Submits queue inside it, one run
+  /// at a time, instead of oversubscribing the machine. Declared last, so
+  /// destroyed first: it stops and joins every run before the store and the
+  /// registry they read go away.
   std::unique_ptr<ThreadPoolExecutor> threaded_pool_;
 };
 

@@ -1,20 +1,39 @@
 // ResultCursor and QueryHandle: the pull side of the Engine façade.
 #include "engine/engine.h"
+#include "exec/threaded_executor.h"
 #include "stem/stem.h"
 
 namespace stems {
 
+namespace {
+
+/// The handle's buffer of a threaded execution with its read prefix
+/// dropped, ready for a channel Pop to append to.
+std::vector<TuplePtr>* UnreadBuffer(internal::QueryExecution* exec) {
+  auto& rows = exec->threaded_rows;
+  rows.erase(rows.begin(),
+             rows.begin() + static_cast<std::ptrdiff_t>(exec->threaded_head));
+  exec->threaded_head = 0;
+  return &rows;
+}
+
+}  // namespace
+
 std::optional<TuplePtr> ResultCursor::Next() {
   internal::QueryExecution* exec = exec_.get();
   if (exec->cancelled) return std::nullopt;
-  if (exec->threaded.has_value()) {
-    // Threaded executions are born finished: the buffer is complete and no
-    // clock pumping is involved — Next() is a plain read.
-    const auto& results = exec->threaded->results;
-    if (exec->next_result < results.size()) {
-      return results[exec->next_result++];
+  if (exec->threaded != nullptr) {
+    // Threaded executions stream: serve the handle's buffer, and when it is
+    // used up, block on the run's channel for the workers' next batch. A
+    // blocking Pop that moves nothing means the stream has ended.
+    while (exec->threaded_head >= exec->threaded_rows.size()) {
+      if (exec->threaded->results().Pop(UnreadBuffer(exec),
+                                        /*wait_rows=*/1) == 0) {
+        return std::nullopt;
+      }
     }
-    return std::nullopt;
+    ++exec->next_result;
+    return std::move(exec->threaded_rows[exec->threaded_head++]);
   }
   const Eddy& eddy = *exec->eddy;
   if (exec->next_result >= eddy.num_results() && !exec->finished) {
@@ -27,6 +46,16 @@ std::optional<TuplePtr> ResultCursor::Next() {
     return eddy.results()[exec->next_result++];
   }
   return std::nullopt;
+}
+
+bool ResultCursor::NotifyWhenReady(size_t rows,
+                                   std::function<void()> on_ready) {
+  internal::QueryExecution* exec = exec_.get();
+  if (exec->cancelled || exec->threaded == nullptr) return true;
+  const size_t buffered = exec->threaded_rows.size() - exec->threaded_head;
+  if (buffered >= rows) return true;
+  return exec->threaded->results().PopOrNotify(
+      UnreadBuffer(exec), rows - buffered, std::move(on_ready));
 }
 
 std::optional<RowView> ResultCursor::NextRow() {
@@ -103,32 +132,47 @@ std::string RowView::ToString() const {
   return out;
 }
 
+// Threaded runs answer from their live counters (final once the channel
+// closes), so a spilling query's I/O is visible while it streams.
 uint64_t ResultCursor::spill_ios() const {
-  if (exec_->threaded.has_value()) return exec_->threaded->spill_ios;
+  if (exec_->threaded != nullptr) return exec_->threaded->spill_ios();
   return exec_->eddy->SpillStats().spill_ios;
 }
 
 uint64_t ResultCursor::bytes_spilled() const {
-  if (exec_->threaded.has_value()) return exec_->threaded->bytes_spilled;
+  if (exec_->threaded != nullptr) return exec_->threaded->bytes_spilled();
   return exec_->eddy->SpillStats().bytes_spilled;
 }
 
 size_t ResultCursor::partitions_resident() const {
-  if (exec_->threaded.has_value()) return exec_->threaded->partitions_resident;
+  if (exec_->threaded != nullptr) {
+    return exec_->threaded->partitions_resident();
+  }
   return exec_->eddy->SpillStats().partitions_resident;
 }
 
 void QueryHandle::Wait() {
-  if (!exec_->finished && !exec_->cancelled) {
-    exec_->engine->PumpToCompletion(exec_.get());
+  if (exec_->cancelled) return;
+  if (exec_->threaded != nullptr) {
+    // Drain the channel into the handle's buffer until the stream ends:
+    // the workers never stall on a caller that holds no cursor.
+    while (exec_->threaded->results().Pop(UnreadBuffer(exec_.get()),
+                                          ResultChannel::kCapacityRows) > 0) {
+    }
+    return;
   }
+  if (!exec_->finished) exec_->engine->PumpToCompletion(exec_.get());
 }
 
 void QueryHandle::Cancel() {
   if (exec_->cancelled) return;
   exec_->cancelled = true;
-  // Threaded executions are always finished by the time a handle exists,
-  // so this branch (live dataflow teardown) is sim-only.
+  if (exec_->threaded != nullptr) {
+    // Raise the run's stop flag, abandon its channel, join its workers. On
+    // a finished run this only discards what the cursors did not consume.
+    exec_->threaded->Stop();
+    return;
+  }
   if (!exec_->finished) {
     // Still running: stop the dataflow too. (On a finished query, Cancel
     // only discards the buffered results the cursors have not consumed.)
@@ -138,24 +182,34 @@ void QueryHandle::Cancel() {
 }
 
 QueryStats QueryHandle::Stats() const {
-  if (exec_->threaded.has_value()) {
-    const ExecOutcome& outcome = *exec_->threaded;
+  if (exec_->threaded != nullptr) {
     QueryStats stats;
     stats.executor = "threaded";
-    stats.num_results = outcome.results.size();
-    stats.tuples_routed = outcome.totals.tuples_routed;
-    stats.tuples_retired = outcome.totals.tuples_retired;
-    stats.routing_wall_ns = outcome.totals.routing_wall_ns;
-    stats.constraint_violations = outcome.violations.size();
-    stats.worker_counters = outcome.workers;
-    stats.completed_at = exec_->completed_at;
     stats.policy = exec_->policy_name;
     stats.cancelled = exec_->cancelled;
-    stats.spill_ios = outcome.spill_ios;
-    stats.bytes_spilled = outcome.bytes_spilled;
-    stats.entries_spilled = outcome.entries_spilled;
-    stats.partitions_resident = outcome.partitions_resident;
-    stats.partitions_spilled = outcome.partitions_spilled;
+    // completed_at stays kSimTimeNever: a threaded run has no virtual clock.
+    const std::optional<ExecOutcome> outcome =
+        exec_->threaded->results().summary();
+    if (!outcome.has_value()) {
+      // Still running: the rows seen so far and the live spill counters;
+      // the routing counters are worker-private until completion.
+      stats.num_results = exec_->next_result + exec_->threaded_rows.size() -
+                          exec_->threaded_head;
+      stats.spill_ios = exec_->threaded->spill_ios();
+      stats.bytes_spilled = exec_->threaded->bytes_spilled();
+      return stats;
+    }
+    stats.num_results = outcome->totals.results;
+    stats.tuples_routed = outcome->totals.tuples_routed;
+    stats.tuples_retired = outcome->totals.tuples_retired;
+    stats.routing_wall_ns = outcome->totals.routing_wall_ns;
+    stats.constraint_violations = outcome->violations.size();
+    stats.worker_counters = outcome->workers;
+    stats.spill_ios = outcome->spill_ios;
+    stats.bytes_spilled = outcome->bytes_spilled;
+    stats.entries_spilled = outcome->entries_spilled;
+    stats.partitions_resident = outcome->partitions_resident;
+    stats.partitions_spilled = outcome->partitions_spilled;
     return stats;
   }
   const Eddy& eddy = *exec_->eddy;
@@ -197,16 +251,20 @@ obs::QueryProfile QueryHandle::Profile() const {
   p.wall_us = exec_->wall_us;
   p.spill_ios = stats.spill_ios;
   p.bytes_spilled = stats.bytes_spilled;
-  if (exec_->completed_at != kSimTimeNever) {
-    p.virtual_time_us = static_cast<uint64_t>(exec_->completed_at);
+  if (stats.completed_at != kSimTimeNever) {
+    p.virtual_time_us = static_cast<uint64_t>(stats.completed_at);
   }
 
-  if (exec_->threaded.has_value()) {
+  if (exec_->threaded != nullptr) {
     // No module graph: one row per worker, on the wall clock (the busy
-    // column carries wall microseconds inside morsel processing).
-    const ExecOutcome& outcome = *exec_->threaded;
-    for (size_t w = 0; w < outcome.workers.size(); ++w) {
-      const WorkerCounters& c = outcome.workers[w];
+    // column carries wall microseconds inside morsel processing). Empty
+    // until the run completes.
+    const std::optional<ExecOutcome> outcome =
+        exec_->threaded->results().summary();
+    if (!outcome.has_value()) return p;
+    p.wall_us = outcome->wall_us;
+    for (size_t w = 0; w < outcome->workers.size(); ++w) {
+      const WorkerCounters& c = outcome->workers[w];
       obs::ModuleProfileRow row;
       row.name = "worker" + std::to_string(w);
       row.kind = "worker";
@@ -266,7 +324,7 @@ std::string QueryHandle::DumpTrace() const {
 }
 
 const MetricsRecorder& QueryHandle::metrics() const {
-  if (exec_->threaded.has_value()) {
+  if (exec_->threaded != nullptr) {
     // No module graph, no per-module time series; per-worker counters live
     // in Stats().worker_counters instead.
     static const MetricsRecorder kEmpty;

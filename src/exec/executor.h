@@ -32,7 +32,7 @@ class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
-/// Observability hookup for one Execute() call: the engine-wide registry
+/// Observability hookup for one threaded run: the engine-wide registry
 /// the run publishes into and the per-query trace sink. Both nullable —
 /// a default-constructed ExecObs runs the query dark (tests, benches).
 struct ExecObs {
@@ -72,7 +72,10 @@ struct WorkerCounters {
   }
 };
 
-/// Everything ThreadPoolExecutor::Execute() reports about one completed run.
+/// Everything a threaded run reports about itself once complete: the
+/// summary its ResultChannel publishes at close (with `results` empty —
+/// the rows streamed through the channel), or ThreadPoolExecutor::Execute's
+/// whole answer (with every result).
 struct ExecOutcome {
   std::vector<TuplePtr> results;
   /// Constraint-audit verdict: invariant breaches observed while running
@@ -81,7 +84,7 @@ struct ExecOutcome {
   std::vector<std::string> violations;
   /// Per-worker accumulators, merged on read.
   std::vector<WorkerCounters> workers;
-  /// Aggregate of `workers` (computed by Execute).
+  /// Aggregate of `workers` (merged when the run completes).
   WorkerCounters totals;
   /// Spill observability of the sharded state (the sim path reports through
   /// Eddy::SpillStats instead).
@@ -96,6 +99,11 @@ struct ExecOutcome {
   uint64_t shard_lock_wait_ns = 0;
   /// True when the run stopped early because the query's LIMIT filled.
   bool limit_reached = false;
+  /// Wall time the workers spent stalled on a full result channel (summed
+  /// over workers): the consumer's backpressure.
+  uint64_t result_backpressure_ns = 0;
+  /// Wall-clock microseconds from ThreadPoolExecutor::Start to completion.
+  uint64_t wall_us = 0;
 };
 
 }  // namespace stems

@@ -71,9 +71,13 @@ Result<std::unique_ptr<PolicyBase>> CreateWorkerPolicy(
 
 }  // namespace
 
-struct ThreadPoolExecutor::WorkerState {
+struct ThreadedRun::Worker {
   WorkerCounters counters;
+  /// Results admitted during the current morsel, flushed to the channel at
+  /// its end.
   std::vector<TuplePtr> results;
+  /// Wall time this worker spent stalled on a full result channel.
+  uint64_t stall_ns = 0;
   std::unique_ptr<PolicyBase> policy;
   WorkerProbeStats probe_stats;
   std::vector<TuplePtr> cascade_stack;
@@ -83,9 +87,14 @@ struct ThreadPoolExecutor::WorkerState {
   ShardedStem::Matches matches_scratch;
 };
 
-struct ThreadPoolExecutor::RunState {
+/// Everything one run needs, set up by Start before the run is published
+/// to the dispatcher and read-only afterwards (apart from the documented
+/// sync fields and each worker's own slot).
+struct ThreadedRun::State {
+  explicit State(size_t num_workers) : channel(num_workers) {}
+
   const QuerySpec* query = nullptr;
-  const JoinGraph* graph = nullptr;
+  std::unique_ptr<JoinGraph> graph;
 
   std::vector<const StoredTable*> tables;  ///< per slot
   std::vector<std::unique_ptr<ShardedStem>> stems;
@@ -107,24 +116,98 @@ struct ThreadPoolExecutor::RunState {
 
   /// The LIMIT admission race + drain flags (exec/limit_gate.h) — the
   /// protocol object the schedule-exploration harness drives directly.
+  /// Stop requests (cancel, dropped handle, executor teardown) raise the
+  /// same drain flag.
   LimitGate gate;
 
-  /// Per-query trace sink (null when tracing is off). Morsel spans are
-  /// stamped with wall time relative to `run_start` so the whole run's
-  /// timeline starts at ts=0 in the exported Chrome trace.
-  obs::Tracer* tracer = nullptr;
+  /// The result stream: workers flush into it, the consumer reads it, and
+  /// the last worker closes it with the run summary.
+  ResultChannel channel;
+
+  /// Metric and trace sinks (nullable). Morsel spans are stamped with wall
+  /// time relative to `run_start` (Start's clock reading), so the run's
+  /// timeline starts at ts=0 in the exported Chrome trace; the summary's
+  /// wall_us runs from it too.
+  ExecObs obs;
   std::chrono::steady_clock::time_point run_start;
 
   /// Workers own their slot exclusively while running; padded so adjacent
   /// workers' accumulators never share a cache line.
   struct alignas(64) PaddedWorker {
-    WorkerState ws;
+    Worker ws;
   };
   std::vector<PaddedWorker> workers;
 
   Mutex violations_mu;
   std::vector<std::string> violations STEMS_GUARDED_BY(violations_mu);
 };
+
+ThreadedRun::ThreadedRun(std::unique_ptr<State> state)
+    : state_(std::move(state)) {}
+
+ThreadedRun::~ThreadedRun() = default;
+
+ResultChannel& ThreadedRun::results() { return state_->channel; }
+
+uint64_t ThreadedRun::spill_ios() const {
+  return state_->spill.spill_ios.load(std::memory_order_relaxed);
+}
+
+uint64_t ThreadedRun::bytes_spilled() const {
+  return state_->spill.bytes_spilled.load(std::memory_order_relaxed);
+}
+
+size_t ThreadedRun::partitions_resident() const {
+  size_t resident = 0;
+  for (const auto& stem : state_->stems) {
+    resident += stem->ShardResidency().first;
+  }
+  return resident;
+}
+
+bool ThreadedRun::TryBegin() {
+  MutexLock lock(&mu_);
+  if (stop_requested_) return false;
+  phase_ = Phase::kRunning;
+  return true;
+}
+
+void ThreadedRun::MarkJoined() {
+  {
+    MutexLock lock(&mu_);
+    phase_ = Phase::kJoined;
+  }
+  joined_cv_.NotifyAll();
+}
+
+bool ThreadedRun::RequestStop() {
+  bool running = false;
+  {
+    MutexLock lock(&mu_);
+    stop_requested_ = true;
+    running = phase_ == Phase::kRunning;
+  }
+  state_->gate.RequestStop();
+  state_->channel.Abandon();
+  return running;
+}
+
+void ThreadedRun::Stop() {
+  if (RequestStop()) Join();
+}
+
+void ThreadedRun::Join() {
+  MutexLock lock(&mu_);
+  while (phase_ != Phase::kJoined) joined_cv_.Wait(mu_);
+}
+
+bool ThreadedRun::live() {
+  {
+    MutexLock lock(&mu_);
+    if (stop_requested_) return false;
+  }
+  return !state_->channel.closed();
+}
 
 size_t ThreadPoolExecutor::EffectiveThreads(size_t requested,
                                             size_t fallback) {
@@ -312,6 +395,7 @@ void ThreadPoolExecutor::ProcessSource(RunState* state, WorkerState* ws,
 void ThreadPoolExecutor::WorkerMain(RunState* state, int worker_id) {
   WorkerState& ws = state->workers[static_cast<size_t>(worker_id)].ws;
   const int num_slots = static_cast<int>(state->query->num_slots());
+  obs::Tracer* tracer = state->obs.tracer;
   TupleBatch morsel;
   for (;;) {
     const size_t c = state->next_chunk.fetch_add(1);
@@ -340,7 +424,15 @@ void ThreadPoolExecutor::WorkerMain(RunState* state, int worker_id) {
     ws.counters.routing_wall_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
             .count());
-    if (state->tracer != nullptr && state->tracer->SampleMorsel()) {
+    // The morsel's results go out now, outside every shard lock: a full
+    // channel stalls this worker, never a SteM.
+    ws.stall_ns += state->channel.Push(&ws.results);
+    // Morsel boundary = preemption point. The query's consumer (a cursor,
+    // or the server's engine and network threads and its client) shares
+    // these cores; yielding here lets it run now rather than after a full
+    // scheduler slice. With nothing else runnable this returns at once.
+    std::this_thread::yield();
+    if (tracer != nullptr && tracer->SampleMorsel()) {
       char args[96];
       std::snprintf(args, sizeof(args),
                     "\"slot\":%d,\"rows\":%zu,\"chunk\":%zu", chunk.slot,
@@ -358,130 +450,230 @@ void ThreadPoolExecutor::WorkerMain(RunState* state, int worker_id) {
               .count());
       ev.tid = static_cast<uint32_t>(worker_id);
       ev.args_json = args;
-      state->tracer->Record(std::move(ev));
+      tracer->Record(std::move(ev));
     }
+  }
+  if (state->channel.FinishProducer(&ws.results, &ws.stall_ns)) {
+    Finalize(state);
   }
 }
 
-Status ThreadPoolExecutor::Execute(const QuerySpec& query,
-                                   const RunOptions& options,
-                                   const TableStore& store, ExecOutcome* out,
-                                   const ExecObs& obs) {
-  STEMS_RETURN_NOT_OK(ValidateSupported(query, options));
-  MutexLock run_lock(&run_mu_);
+void ThreadPoolExecutor::Finalize(RunState* state) {
+  ExecOutcome out;
+  out.workers.reserve(state->workers.size());
+  for (const auto& padded : state->workers) {
+    out.totals += padded.ws.counters;
+    out.workers.push_back(padded.ws.counters);
+    out.result_backpressure_ns += padded.ws.stall_ns;
+  }
+  {
+    MutexLock lock(&state->violations_mu);
+    out.violations = std::move(state->violations);
+  }
+  out.limit_reached = state->gate.limit_reached();
+  out.spill_ios = state->spill.spill_ios.load();
+  out.bytes_spilled = state->spill.bytes_spilled.load();
+  out.entries_spilled = state->spill.entries_spilled.load();
+  out.shard_lock_waits = state->spill.lock_waits.load();
+  out.shard_lock_wait_ns = state->spill.lock_wait_ns.load();
+  for (const auto& stem : state->stems) {
+    const auto [resident, spilled] = stem->ShardResidency();
+    out.partitions_resident += resident;
+    out.partitions_spilled += spilled;
+  }
+  out.wall_us = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - state->run_start)
+          .count());
 
-  RunState state;
-  state.tracer = obs.tracer;
-  state.run_start = std::chrono::steady_clock::now();
-  state.query = &query;
-  JoinGraph graph(query);
-  state.graph = &graph;
-  state.full_mask = query.full_span_mask();
-  if (query.limit().has_value()) state.gate.SetLimit(*query.limit());
+  // Publish run totals into the engine-wide registry once, at completion —
+  // workers never touch shared metric state on the hot path. A stopped run
+  // (cancel, dropped handle) publishes its work but is not a completion,
+  // as on the sim executor.
+  if (obs::MetricsRegistry* registry = state->obs.registry) {
+    registry->GetCounter("exec.morsels")->Add(out.totals.morsels);
+    registry->GetCounter("eddy.tuples_routed")->Add(out.totals.tuples_routed);
+    registry->GetCounter("eddy.results")->Add(out.totals.results);
+    registry->GetCounter("stem.builds")->Add(out.totals.builds);
+    registry->GetCounter("stem.probes")->Add(out.totals.probes);
+    registry->GetCounter("stem.matches")->Add(out.totals.matches);
+    registry->GetCounter("exec.shard_lock_waits")->Add(out.shard_lock_waits);
+    registry->GetCounter("exec.shard_lock_wait_ns")
+        ->Add(out.shard_lock_wait_ns);
+    registry->GetCounter("exec.result_backpressure_ns")
+        ->Add(out.result_backpressure_ns);
+    registry->GetCounter("spill.ios")->Add(out.spill_ios);
+    registry->GetCounter("spill.bytes")->Add(out.bytes_spilled);
+    const bool stopped =
+        state->gate.stop_requested() && !state->gate.limit_reached();
+    if (!stopped) {
+      registry->GetCounter("engine.queries_completed")->Add();
+      registry->GetHistogram("engine.query_wall_us")->Observe(out.wall_us);
+    }
+  }
+  state->channel.Close(std::move(out));
+}
+
+void ThreadPoolExecutor::RunWorkers(RunState* state) {
+  const size_t num_threads = state->workers.size();
+  std::vector<std::thread> threads;
+  threads.reserve(num_threads - 1);
+  for (size_t w = 1; w < num_threads; ++w) {
+    threads.emplace_back(WorkerMain, state, static_cast<int>(w));
+  }
+  WorkerMain(state, 0);
+  for (auto& t : threads) t.join();
+}
+
+void ThreadPoolExecutor::DispatcherMain() {
+  for (;;) {
+    std::shared_ptr<ThreadedRun> run;
+    {
+      MutexLock lock(&mu_);
+      while (pending_.empty() && !shutdown_) work_cv_.Wait(mu_);
+      if (pending_.empty()) return;  // shutdown, nothing left to settle
+      run = std::move(pending_.front());
+      pending_.pop_front();
+      active_ = run;
+    }
+    if (run->TryBegin()) {
+      RunWorkers(run->state_.get());
+    } else {
+      // Stopped while queued: no worker ever starts; the stream just ends.
+      run->state_->channel.Close(ExecOutcome{});
+    }
+    run->MarkJoined();
+    MutexLock lock(&mu_);
+    active_.reset();
+  }
+}
+
+Result<std::shared_ptr<ThreadedRun>> ThreadPoolExecutor::Start(
+    const QuerySpec& query, const RunOptions& options, const TableStore& store,
+    const ExecObs& obs) {
+  STEMS_RETURN_NOT_OK(ValidateSupported(query, options));
+  const size_t num_threads =
+      EffectiveThreads(options.num_threads, default_threads_);
+
+  auto state = std::make_unique<RunState>(num_threads);
+  RunState& st = *state;
+  st.obs = obs;
+  // wall-clock: the run's submit instant (trace origin, summary wall_us).
+  st.run_start = std::chrono::steady_clock::now();
+  st.query = &query;
+  st.graph = std::make_unique<JoinGraph>(query);
+  st.full_mask = query.full_span_mask();
+  if (query.limit().has_value()) st.gate.SetLimit(*query.limit());
 
   const size_t num_slots = query.num_slots();
-  state.tables.resize(num_slots);
-  state.selections.resize(num_slots);
+  st.tables.resize(num_slots);
+  st.selections.resize(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {
-    STEMS_ASSIGN_OR_RETURN(state.tables[s],
+    STEMS_ASSIGN_OR_RETURN(st.tables[s],
                            store.GetTable(query.slots()[s].table_name));
-    state.selections[s] = query.SelectionsOn(static_cast<int>(s));
+    st.selections[s] = query.SelectionsOn(static_cast<int>(s));
   }
   for (const auto& pred : query.predicates()) {
-    state.all_preds_mask |= 1ULL << pred.id();
+    st.all_preds_mask |= 1ULL << pred.id();
   }
 
   if (options.spill || options.exec.eddy.spill.enabled) {
-    state.spill.budget_entries =
+    st.spill.budget_entries =
         options.memory_budget_entries != 0
             ? options.memory_budget_entries
             : options.exec.eddy.memory.global_entry_budget;
   }
-  state.stems.reserve(num_slots);
+  st.stems.reserve(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {
-    state.stems.push_back(std::make_unique<ShardedStem>(
-        static_cast<int>(s), query, kShardsPerStem, &state.ts_counter,
-        &state.spill));
+    st.stems.push_back(std::make_unique<ShardedStem>(
+        static_cast<int>(s), query, kShardsPerStem, &st.ts_counter, &st.spill));
   }
 
   // Morsel size: RunOptions::batch_size, the same knob that sizes the sim's
   // routing batches. LIMIT 0 short-circuits like the sim's unseeded scans.
   const size_t morsel_rows = std::max<size_t>(1, options.batch_size);
-  if (state.gate.limit() > 0) {
+  if (st.gate.limit() > 0) {
     for (size_t s = 0; s < num_slots; ++s) {
-      const size_t n = state.tables[s]->num_rows();
+      const size_t n = st.tables[s]->num_rows();
       for (size_t begin = 0; begin < n; begin += morsel_rows) {
-        state.chunks.push_back(SourceChunk{static_cast<int>(s), begin,
-                                           std::min(begin + morsel_rows, n)});
+        st.chunks.push_back(SourceChunk{static_cast<int>(s), begin,
+                                        std::min(begin + morsel_rows, n)});
       }
     }
   }
 
-  const size_t num_threads =
-      EffectiveThreads(options.num_threads, default_threads_);
-  state.workers = std::vector<RunState::PaddedWorker>(num_threads);
+  st.workers = std::vector<RunState::PaddedWorker>(num_threads);
   for (size_t w = 0; w < num_threads; ++w) {
     // The seed is mixed per worker so stochastic policies' streams stay
     // decorrelated across workers.
-    WorkerState& ws = state.workers[w].ws;
+    WorkerState& ws = st.workers[w].ws;
     const uint64_t seed =
         options.policy_params.seed * 0x9e3779b97f4a7c15ULL + w;
     STEMS_ASSIGN_OR_RETURN(ws.policy, CreateWorkerPolicy(options, seed));
     ws.probe_stats.slots.resize(num_slots);
   }
 
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads - 1);
-  for (size_t w = 1; w < num_threads; ++w) {
-    threads.emplace_back(WorkerMain, &state, static_cast<int>(w));
-  }
-  WorkerMain(&state, 0);
-  for (auto& t : threads) t.join();
-
-  *out = ExecOutcome{};
-  out->workers.reserve(num_threads);
-  for (auto& padded : state.workers) {
-    out->totals += padded.ws.counters;
-    out->workers.push_back(padded.ws.counters);
-    out->results.insert(out->results.end(),
-                        std::make_move_iterator(padded.ws.results.begin()),
-                        std::make_move_iterator(padded.ws.results.end()));
+  std::shared_ptr<ThreadedRun> run(new ThreadedRun(std::move(state)));
+  if (st.chunks.empty()) {
+    // Nothing to scan (LIMIT 0, empty tables): the run is born finished,
+    // with no thread started.
+    Finalize(&st);
+    run->MarkJoined();
+    return run;
   }
   {
-    // Workers are joined, but the guarded_by contract is unconditional.
-    MutexLock lock(&state.violations_mu);
-    out->violations = std::move(state.violations);
+    MutexLock lock(&mu_);
+    if (!dispatcher_.joinable()) {
+      dispatcher_ = std::thread([this] { DispatcherMain(); });
+    }
+    pending_.push_back(run);
   }
-  out->limit_reached = state.gate.limit_reached();
-  out->spill_ios = state.spill.spill_ios.load();
-  out->bytes_spilled = state.spill.bytes_spilled.load();
-  out->entries_spilled = state.spill.entries_spilled.load();
-  out->shard_lock_waits = state.spill.lock_waits.load();
-  out->shard_lock_wait_ns = state.spill.lock_wait_ns.load();
-  for (const auto& stem : state.stems) {
-    const auto [resident, spilled] = stem->ShardResidency();
-    out->partitions_resident += resident;
-    out->partitions_spilled += spilled;
-  }
+  work_cv_.NotifyAll();
+  return run;
+}
 
-  // Publish run totals into the engine-wide registry once, after the join —
-  // workers never touch shared metric state on the hot path.
-  if (obs.registry != nullptr) {
-    obs.registry->GetCounter("exec.morsels")->Add(out->totals.morsels);
-    obs.registry->GetCounter("eddy.tuples_routed")
-        ->Add(out->totals.tuples_routed);
-    obs.registry->GetCounter("eddy.results")->Add(out->totals.results);
-    obs.registry->GetCounter("stem.builds")->Add(out->totals.builds);
-    obs.registry->GetCounter("stem.probes")->Add(out->totals.probes);
-    obs.registry->GetCounter("stem.matches")->Add(out->totals.matches);
-    obs.registry->GetCounter("exec.shard_lock_waits")
-        ->Add(state.spill.lock_waits.load(std::memory_order_relaxed));
-    obs.registry->GetCounter("exec.shard_lock_wait_ns")
-        ->Add(state.spill.lock_wait_ns.load(std::memory_order_relaxed));
-    obs.registry->GetCounter("spill.ios")->Add(out->spill_ios);
-    obs.registry->GetCounter("spill.bytes")->Add(out->bytes_spilled);
+Status ThreadPoolExecutor::Execute(const QuerySpec& query,
+                                   const RunOptions& options,
+                                   const TableStore& store, ExecOutcome* out,
+                                   const ExecObs& obs) {
+  STEMS_ASSIGN_OR_RETURN(std::shared_ptr<ThreadedRun> run,
+                         Start(query, options, store, obs));
+  std::vector<TuplePtr> rows;
+  while (run->results().Pop(&rows, ResultChannel::kCapacityRows) > 0) {
   }
+  run->Join();
+  *out = *run->results().summary();
+  out->results = std::move(rows);
   return Status::OK();
+}
+
+size_t ThreadPoolExecutor::live_runs() const {
+  std::vector<std::shared_ptr<ThreadedRun>> runs;
+  {
+    MutexLock lock(&mu_);
+    runs.assign(pending_.begin(), pending_.end());
+    if (active_ != nullptr) runs.push_back(active_);
+  }
+  size_t n = 0;
+  for (const auto& run : runs) n += run->live() ? 1 : 0;
+  return n;
+}
+
+ThreadPoolExecutor::~ThreadPoolExecutor() {
+  std::vector<std::shared_ptr<ThreadedRun>> runs;
+  std::thread dispatcher;
+  {
+    MutexLock lock(&mu_);
+    shutdown_ = true;
+    runs.assign(pending_.begin(), pending_.end());
+    if (active_ != nullptr) runs.push_back(active_);
+    dispatcher = std::move(dispatcher_);
+  }
+  // Queued runs end unstarted; the running one drains (stop flag) and no
+  // worker stays stalled on its abandoned channel.
+  for (const auto& run : runs) run->RequestStop();
+  work_cv_.NotifyAll();
+  if (dispatcher.joinable()) dispatcher.join();
 }
 
 }  // namespace stems

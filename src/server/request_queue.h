@@ -11,9 +11,10 @@
 // test_server.cc). The capacity bound is *per lane* for the same reason —
 // one tenant's backlog must never consume another's push budget.
 //
-// Control messages (disconnects, end-of-input, protocol errors) bypass
-// the capacity bound — cleanup is never lost to backpressure — but NOT
-// the ordering: they enter their session's lane so e.g. an end-of-input
+// Control messages (disconnects, end-of-input, protocol errors, and the
+// query-ready wakes a threaded query's workers send) bypass the capacity
+// bound — cleanup and wakes are never lost to backpressure — but NOT the
+// ordering: they enter their session's lane so e.g. an end-of-input
 // marker is consumed only after every frame queued before it (pipelined
 // requests are still answered after a half-close).
 //
@@ -39,9 +40,18 @@ namespace stems::server {
 
 /// One unit of work handed from the network thread to the engine thread.
 struct Request {
-  enum class Kind { kFrame, kProtocolError, kEndOfInput, kDisconnect };
+  /// kQueryReady: a threaded query's worker reports rows (or the end of
+  /// the stream) ready for the Fetch parked on it; one per parked Fetch.
+  enum class Kind {
+    kFrame,
+    kProtocolError,
+    kEndOfInput,
+    kDisconnect,
+    kQueryReady
+  };
   Kind kind = Kind::kFrame;
   uint64_t session_id = 0;
+  uint64_t query_id = 0;  ///< kQueryReady: which of the session's queries
   /// Fairness lane, assigned per tenant at Hello (0 = the shared
   /// pre-authentication lane).
   uint32_t lane = 0;

@@ -61,6 +61,9 @@ struct Server::QueryRec {
   /// A deferred (queued) submit that failed at admission time; surfaced
   /// as the Error response of the next Fetch.
   Status submit_error;
+  /// Fetches waiting for a threaded query's rows (their max_rows, arrival
+  /// order); the head's wake is armed on the query's result channel.
+  std::deque<uint32_t> parked_fetches;
 };
 
 /// One client connection. Socket-side fields belong to the network
@@ -561,6 +564,10 @@ void Server::ProcessRequest(const Request& request) {
       if (session->state == Session::State::kClosing) return;
       ProcessFrame(session, request.type, request.payload);
       return;
+    case Request::Kind::kQueryReady:
+      if (session->cleaned) return;
+      ServeParkedFetches(session, request.query_id);
+      return;
   }
 }
 
@@ -878,9 +885,29 @@ void Server::HandleFetch(const std::shared_ptr<Session>& session,
     return;
   }
 
+  const uint32_t max_rows =
+      std::clamp<uint32_t>(request.max_rows, 1, wire::kMaxRowsPerFetch);
+  if (!rec.parked_fetches.empty() ||
+      !rec.handle.cursor().NotifyWhenReady(
+          max_rows, QueryReadyWake(session, request.query_id))) {
+    // A threaded query that cannot fill this page yet: park the Fetch
+    // instead of blocking the engine thread (pipelined Fetches queue
+    // behind it). Never answer with the rows so far and done=false — the
+    // client would re-send at once and spin on the workers' CPUs.
+    rec.parked_fetches.push_back(max_rows);
+    return;
+  }
+  AnswerFetch(session, request.query_id, max_rows);
+}
+
+bool Server::AnswerFetch(const std::shared_ptr<Session>& session,
+                         uint64_t query_id, uint32_t max_rows) {
+  auto it = session->queries.find(query_id);
+  QueryRec& rec = it->second;
   // Wall time serving this admitted Fetch (cursor pumping dominates),
-  // observed on every exit path below. Queued-submit polls above are
-  // excluded — they would drown the histogram in empty round trips.
+  // observed on every exit path below. Queued-submit polls are excluded —
+  // they would drown the histogram in empty round trips — and so is the
+  // time a Fetch spends parked.
   struct FetchTimer {
     obs::Histogram* hist;
     std::chrono::steady_clock::time_point start =
@@ -893,10 +920,8 @@ void Server::HandleFetch(const std::shared_ptr<Session>& session,
     }
   } fetch_timer{engine_->metrics_registry().GetHistogram("server.fetch_us")};
 
-  const uint32_t max_rows =
-      std::clamp<uint32_t>(request.max_rows, 1, wire::kMaxRowsPerFetch);
   wire::RowsResponse response;
-  response.query_id = request.query_id;
+  response.query_id = query_id;
   ResultCursor cursor = rec.handle.cursor();
   bool end_of_stream = false;
   while (response.rows.size() < max_rows) {
@@ -911,12 +936,7 @@ void Server::HandleFetch(const std::shared_ptr<Session>& session,
     for (size_t i = 0; i < n; ++i) values.push_back(row->value(i));
     response.rows.push_back(std::move(values));
   }
-  // Live spill-I/O accounting for the tenant's window budget.
-  const uint64_t total_ios = cursor.spill_ios();
-  if (total_ios > rec.last_spill_ios) {
-    governor_.OnSpillProgress(rec.tenant, total_ios - rec.last_spill_ios);
-    rec.last_spill_ios = total_ios;
-  }
+  ReportSpillProgress(&rec, cursor.spill_ios());
 
   if (end_of_stream && rec.handle.done()) {
     ReleaseSlot(session, &rec);
@@ -927,22 +947,70 @@ void Server::HandleFetch(const std::shared_ptr<Session>& session,
       SendError(session, error);
       session->queries.erase(it);
       AdmitQueuedSubmits();
-      return;
+      return false;
     }
     if (error.ok()) {
       response.done = true;
       SendRows(session, response);
       session->queries.erase(it);
       AdmitQueuedSubmits();
-      return;
+      return false;
     }
     // Rows collected this round travel first; the error frame ends the
     // stream on the next Fetch.
     SendRows(session, response);
     AdmitQueuedSubmits();
-    return;
+    return true;
   }
   SendRows(session, response);
+  return true;
+}
+
+void Server::ServeParkedFetches(const std::shared_ptr<Session>& session,
+                                uint64_t query_id) {
+  auto it = session->queries.find(query_id);
+  if (it == session->queries.end()) return;  // cancelled meanwhile
+  QueryRec& rec = it->second;  // map node: stable until erased
+  ReportSpillProgress(&rec, rec.handle.cursor().spill_ios());
+  while (!rec.parked_fetches.empty()) {
+    const uint32_t max_rows = rec.parked_fetches.front();
+    if (!rec.handle.cursor().NotifyWhenReady(
+            max_rows, QueryReadyWake(session, query_id))) {
+      return;  // re-armed: the next wake resumes here
+    }
+    rec.parked_fetches.pop_front();
+    const size_t still_parked = rec.parked_fetches.size();
+    if (!AnswerFetch(session, query_id, max_rows)) {
+      // The stream ended with that page and the id is gone: pipelined
+      // Fetches behind it get what a late Fetch gets.
+      for (size_t i = 0; i < still_parked; ++i) {
+        SendError(session,
+                  Status::NotFound("Fetch: unknown query id " +
+                                   std::to_string(query_id) +
+                                   " (already drained)"));
+      }
+      return;
+    }
+  }
+}
+
+std::function<void()> Server::QueryReadyWake(
+    const std::shared_ptr<Session>& session, uint64_t query_id) {
+  Request wake;
+  wake.kind = Request::Kind::kQueryReady;
+  wake.session_id = session->id;
+  wake.lane = session->lane.load();
+  wake.query_id = query_id;
+  // Runs on a worker thread; the queue is the only server state it
+  // touches. The run is joined (cancel / cleanup) before the server goes.
+  return [this, wake] { queue_.PushControl(wake); };
+}
+
+void Server::ReportSpillProgress(QueryRec* rec, uint64_t total_ios) {
+  if (total_ios > rec->last_spill_ios) {
+    governor_.OnSpillProgress(rec->tenant, total_ios - rec->last_spill_ios);
+    rec->last_spill_ios = total_ios;
+  }
 }
 
 void Server::HandleCancel(const std::shared_ptr<Session>& session,
@@ -973,6 +1041,14 @@ void Server::HandleCancel(const std::shared_ptr<Session>& session,
   } else if (rec.admitted && !rec.slot_released) {
     rec.handle.Cancel();
     ReleaseSlot(session, &rec);
+  }
+  // Fetches parked on the query are answered before the CancelOk, in the
+  // order the client sent them.
+  for (size_t i = 0; i < rec.parked_fetches.size(); ++i) {
+    SendError(session,
+              Status::NotFound("Fetch: query id " +
+                               std::to_string(request.query_id) +
+                               " was cancelled while the Fetch waited"));
   }
   session->queries.erase(it);
   wire::CancelOk ok;
@@ -1023,11 +1099,7 @@ void Server::ReleaseSlot(const std::shared_ptr<Session>& session,
     stats = rec->handle.Stats();
     error = rec->handle.status();
     // Final spill delta (completions between fetches).
-    if (stats.spill_ios > rec->last_spill_ios) {
-      governor_.OnSpillProgress(rec->tenant,
-                                stats.spill_ios - rec->last_spill_ios);
-      rec->last_spill_ios = stats.spill_ios;
-    }
+    ReportSpillProgress(rec, stats.spill_ios);
     MaybeLogSlowQuery(*rec);
   }
   governor_.OnQueryFinished(rec->tenant, rec->memory_charge, stats, error);

@@ -13,7 +13,11 @@
 //   * the engine thread is the only thread that touches the Engine (the
 //     discrete-event core is single-threaded by design): it pops requests
 //     in arrival order, runs Prepare/Bind/Submit, pumps ResultCursors to
-//     build Fetch responses, and drives admission control.
+//     build Fetch responses, and drives admission control. It never waits
+//     on a threaded query: a Fetch its rows cannot fill yet is *parked*,
+//     and the query's workers wake the thread with a kQueryReady control
+//     request once the page is full or the stream has ended — each page
+//     is still one RPC, and no Fetch is answered with a partial page.
 //
 // Sessions authenticate as a *tenant* (Hello frame); the TenantGovernor
 // decides per Submit whether the tenant may run another query now, must
@@ -168,6 +172,23 @@ class Server {
                     const std::string& payload);
   void HandleFetch(const std::shared_ptr<Session>& session,
                    const std::string& payload);
+  /// Serves one Fetch page of an admitted query from its cursor (the
+  /// synchronous path: a sim query pumps the clock, a threaded one only
+  /// reads rows already there). Returns false when the query id ended
+  /// with this page and was erased.
+  bool AnswerFetch(const std::shared_ptr<Session>& session, uint64_t query_id,
+                   uint32_t max_rows);
+  /// A kQueryReady wake: answers the query's parked Fetches, in order, as
+  /// far as its ready rows allow (re-arming the wake for the rest).
+  void ServeParkedFetches(const std::shared_ptr<Session>& session,
+                          uint64_t query_id);
+  /// The callback a threaded query's worker runs when a parked Fetch may be
+  /// answerable: pushes a kQueryReady control request for it.
+  std::function<void()> QueryReadyWake(const std::shared_ptr<Session>& session,
+                                       uint64_t query_id);
+  /// Reports the query's spill I/O since the last report to the tenant's
+  /// accounting window (live for threaded queries too).
+  void ReportSpillProgress(QueryRec* rec, uint64_t total_ios);
   void HandleCancel(const std::shared_ptr<Session>& session,
                     const std::string& payload);
   void HandleStats(const std::shared_ptr<Session>& session);

@@ -1,14 +1,19 @@
 // Engine façade: Submit/cursor streaming, cancellation, and multi-query
-// interleaving on the shared simulation clock.
+// interleaving on the shared simulation clock; the threaded executor's
+// streaming lifecycle (Wait without a cursor, stop-and-join on a dropped
+// handle or a destroyed engine, live spill counters).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/engine.h"
+#include "exec/result_channel.h"
 #include "query/planner.h"
 #include "reference/brute_force.h"
 #include "tests/test_util.h"
@@ -19,6 +24,32 @@ namespace {
 using testing::IntRows;
 using testing::IntSchema;
 using testing::ScanSpec;
+
+/// Adds fan_l(k, id) and fan_r(k, id): `n` distinct rows each, keys
+/// alternating between two values, so fan_l ⋈ fan_r on k has n*n/2
+/// results — 20,000 for n = 200, far beyond the result channel's bound.
+void AddFanOutTables(Engine* engine, int64_t n = 200) {
+  for (const std::string name : {"fan_l", "fan_r"}) {
+    std::vector<std::vector<int64_t>> rows;
+    for (int64_t i = 0; i < n; ++i) rows.push_back({i % 2, i});
+    TableDef def{name, IntSchema({"k", "id"}), {ScanSpec(name + ".scan")}};
+    ASSERT_TRUE(engine->AddTable(std::move(def), IntRows(rows)).ok());
+  }
+}
+
+QuerySpec FanOutQuery(const Engine& engine) {
+  QueryBuilder qb(engine.catalog());
+  qb.AddTable("fan_l").AddTable("fan_r").AddJoin("fan_l.k", "fan_r.k");
+  return qb.Build().ValueOrDie();
+}
+
+/// Two workers, small morsels: a run that cannot finish until its reader
+/// has taken most of its 20,000 rows out of the bounded channel.
+RunOptions SmallMorselThreaded() {
+  RunOptions options = RunOptions::Threaded(2);
+  options.batch_size = 8;
+  return options;
+}
 
 /// users ⋈ orders ⋈ items with an age selection — the quickstart query.
 /// Expected results: users 1 and 2 pass age >= 30; user 1 has two orders,
@@ -415,6 +446,123 @@ TEST_F(EngineTest, HandleOutlivesCallerQuerySpec) {
     handle = engine_.Submit(local).ValueOrDie();
   }  // `local` destroyed; the execution owns its copy
   EXPECT_EQ(handle->cursor().Drain().size(), 3u);
+}
+
+// --- threaded streaming lifecycle -------------------------------------------
+
+TEST_F(EngineTest, ThreadedWaitWithoutCursorOutrunsTheChannelBound) {
+  AddFanOutTables(&engine_);
+  const QuerySpec query = FanOutQuery(engine_);
+  const std::set<std::string> expected =
+      BruteForceResultSet(query, engine_.store());
+  ASSERT_GT(expected.size(), 2 * ResultChannel::kCapacityRows);
+
+  auto handle = engine_.Submit(query, SmallMorselThreaded()).ValueOrDie();
+  // No cursor: Wait() must drain the channel, or the workers would stall
+  // on it forever.
+  handle.Wait();
+  EXPECT_TRUE(handle.done());
+  EXPECT_EQ(handle.Stats().num_results, expected.size());
+  std::vector<std::string> duplicates;
+  EXPECT_EQ(KeysOf(handle.cursor().Drain(), &duplicates), expected);
+  EXPECT_TRUE(duplicates.empty());
+}
+
+TEST_F(EngineTest, DroppingEveryThreadedHandleStopsAndJoinsTheRun) {
+  AddFanOutTables(&engine_);
+  obs::MetricsRegistry& registry = engine_.metrics_registry();
+  {
+    QueryHandle handle =
+        engine_.Submit(FanOutQuery(engine_), SmallMorselThreaded())
+            .ValueOrDie();
+    ResultCursor cursor = handle.cursor();
+    ASSERT_TRUE(cursor.Next().has_value());
+    // 20,000 results against a 4096-row channel: the run stalls on its
+    // reader (the whole run takes milliseconds; give the workers ample
+    // time to fill the channel), it does not finish.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_FALSE(handle.done());
+    EXPECT_EQ(engine_.active_queries(), 1u);
+  }  // last handle and cursor gone: the run is stopped and joined here
+  EXPECT_EQ(engine_.active_queries(), 0u);
+  EXPECT_EQ(registry.GetCounter("engine.queries_completed")->value(), 0u)
+      << "a stopped run is not a completion";
+  // Its work and its backpressure are still published.
+  EXPECT_GT(registry.GetCounter("exec.morsels")->value(), 0u);
+  EXPECT_GT(registry.GetCounter("exec.result_backpressure_ns")->value(), 0u);
+
+  // The executor is free again: the next threaded query runs to the end.
+  auto next = engine_.Submit(ThreeWayQuery(), RunOptions::Threaded(2));
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  EXPECT_EQ(next.Value().cursor().Drain().size(), 3u);
+  EXPECT_EQ(registry.GetCounter("engine.queries_completed")->value(), 1u);
+}
+
+TEST(EngineLifecycleTest, DestroyingTheEngineStopsItsThreadedRuns) {
+  auto engine = std::make_unique<Engine>();
+  AddFanOutTables(engine.get());
+  QueryHandle running =
+      engine->Submit(FanOutQuery(*engine), SmallMorselThreaded()).ValueOrDie();
+  ASSERT_TRUE(running.cursor().Next().has_value());
+  // A second run queued behind the stalled first one: it must never start.
+  QueryHandle queued =
+      engine->Submit(FanOutQuery(*engine), SmallMorselThreaded()).ValueOrDie();
+  EXPECT_EQ(engine->active_queries(), 2u);
+  // Stops both runs and joins every worker; the handles that outlive the
+  // engine are only destroyed afterwards (their runs are already over).
+  engine.reset();
+}
+
+TEST_F(EngineTest, ThreadedRunsReportNoVirtualCompletionTime) {
+  // A sim query first, so the shared clock reads well past zero.
+  auto sim = engine_.Submit(ThreeWayQuery()).ValueOrDie();
+  sim.Wait();
+  ASSERT_GT(engine_.sim().now(), 0);
+  EXPECT_NE(sim.Stats().completed_at, kSimTimeNever);
+  EXPECT_GT(sim.Profile().virtual_time_us, 0u);
+
+  auto threaded =
+      engine_.Submit(ThreeWayQuery(), RunOptions::Threaded(2)).ValueOrDie();
+  threaded.Wait();
+  ASSERT_TRUE(threaded.done());
+  EXPECT_EQ(threaded.Stats().completed_at, kSimTimeNever)
+      << "a threaded run has no virtual clock to complete on";
+  EXPECT_EQ(threaded.Profile().virtual_time_us, 0u);
+  EXPECT_GT(threaded.Profile().wall_us, 0u);
+}
+
+TEST_F(EngineTest, ThreadedSpillCountersAreLiveWhileStreaming) {
+  AddFanOutTables(&engine_);
+  RunOptions options = RunOptions::LargerThanMemory(32);
+  options.executor = ExecutorKind::kThreaded;
+  options.num_threads = 2;
+  options.batch_size = 8;
+  auto handle = engine_.Submit(FanOutQuery(engine_), options).ValueOrDie();
+  ResultCursor cursor = handle.cursor();
+
+  // fan_l's morsels are claimed before fan_r's, so by the first result
+  // well over 32 fan_l entries are built and spill I/O has happened — read
+  // here while the run is still going (it cannot finish without this
+  // reader).
+  ASSERT_TRUE(cursor.Next().has_value());
+  ASSERT_FALSE(handle.done());
+  const uint64_t first = cursor.spill_ios();
+  EXPECT_GT(first, 0u);
+  EXPECT_GE(handle.Stats().spill_ios, first);
+
+  uint64_t last = first;
+  size_t rows = 1;
+  while (cursor.Next().has_value()) {
+    ++rows;
+    const uint64_t now = cursor.spill_ios();
+    EXPECT_GE(now, last) << "spill_ios went backwards at row " << rows;
+    last = now;
+  }
+  ASSERT_TRUE(handle.done());
+  EXPECT_EQ(rows, 20000u);
+  EXPECT_EQ(last, handle.Stats().spill_ios);
+  EXPECT_EQ(cursor.bytes_spilled(), handle.Stats().bytes_spilled);
+  EXPECT_GE(last, first);
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 // Schedule-exploration harnesses: the model-checking scheduler
 // (src/check/) driving *real* engine components — ShardedStem's §3.1
 // visibility contract, the LimitGate admission race, spill-lite victim /
-// fault-in vs concurrent probes, the server RequestQueue, and the
-// TenantGovernor — over systematically explored thread interleavings.
+// fault-in vs concurrent probes, the threaded executor's ResultChannel,
+// the server RequestQueue, and the TenantGovernor — over systematically
+// explored thread interleavings.
 //
-// The harness proves its own teeth with a mutation check: flipping
+// The harness proves its own teeth with mutation checks: flipping
 // ShardedStem::mutation_ts_outside_lock_for_test moves the §3.1 timestamp
 // issuance outside the shard critical section, and the explorer must find
-// (and deterministically replay) an interleaving that loses a match.
+// (and deterministically replay) an interleaving that loses a match;
+// flipping ResultChannel::mutation_close_before_last_flush_for_test lets
+// the stream close before a producer's final flush, and the explorer must
+// find the interleaving that loses its rows.
 //
 // Failing schedules print a replay command:
 //   STEMS_SCHEDULE='v1:...' ./test_schedule_explore --gtest_filter=...
@@ -27,9 +31,11 @@
 #include "check/scheduler.h"
 #include "common/thread_annotations.h"
 #include "exec/limit_gate.h"
+#include "exec/result_channel.h"
 #include "exec/sharded_stem.h"
 #include "obs/metrics_registry.h"
 #include "query/query_spec.h"
+#include "runtime/tuple.h"
 #include "server/request_queue.h"
 #include "server/tenant_governor.h"
 #include "types/row.h"
@@ -306,6 +312,166 @@ TEST(SpillCheck, NoEntryLostAcrossVictimAndFaultIn) {
                          << result.failing_trace;
 }
 
+// --- ResultChannel: the threaded executor's result stream --------------------
+//
+// Two producers play workers: each admits up to two rows through a
+// LimitGate, flushes the first as a mid-run morsel (Push) and the rest in
+// its final flush (FinishProducer); whoever retires last closes the stream,
+// exactly as ThreadPoolExecutor::WorkerMain / Finalize do. The consumer
+// either drains the stream to its end or cancels after the first batch
+// (LimitGate stop + Abandon, as ThreadedRun::Stop does).
+
+enum class ChannelConsumer { kDrain, kCancel };
+
+struct ChannelState {
+  ChannelState(size_t capacity, uint64_t limit)
+      : channel(/*num_producers=*/2, capacity), gate(limit) {}
+  ResultChannel channel;
+  LimitGate gate;
+  int admitted[2] = {0, 0};
+  int closes = 0;  // producers only; the channel orders the last one
+  size_t delivered = 0;
+  bool saw_end = false;
+};
+
+TestFactory ChannelFactory(size_t capacity, uint64_t limit,
+                           ChannelConsumer consumer) {
+  return [capacity, limit, consumer] {
+    auto st = std::make_shared<ChannelState>(capacity, limit);
+    TestCase tc;
+    for (int i = 0; i < 2; ++i) {
+      tc.threads.push_back([st, i] {
+        std::vector<TuplePtr> rows;
+        uint64_t stall_ns = 0;
+        for (int k = 0; k < 2; ++k) {
+          if (st->gate.stop_requested()) break;
+          if (!st->gate.TryAdmit().admitted) continue;
+          RowRef row = MakeRow({Value::Int64(10 * i + k)});
+          rows.push_back(Tuple::MakeSingleton(1, 0, std::move(row)));
+          ++st->admitted[i];
+          if (k == 0) stall_ns += st->channel.Push(&rows);
+        }
+        if (st->channel.FinishProducer(&rows, &stall_ns)) {
+          ++st->closes;
+          st->channel.Close(ExecOutcome{});
+        }
+      });
+    }
+    tc.threads.push_back([st, consumer] {
+      std::vector<TuplePtr> out;
+      if (consumer == ChannelConsumer::kCancel) {
+        st->delivered += st->channel.Pop(&out, /*wait_rows=*/1);
+        st->gate.RequestStop();
+        st->channel.Abandon();
+        return;
+      }
+      size_t n = 0;
+      while ((n = st->channel.Pop(&out, /*wait_rows=*/1)) > 0) {
+        st->delivered += n;
+      }
+      st->saw_end = true;
+    });
+    tc.check = [st, limit, consumer]() -> std::string {
+      const size_t admitted =
+          static_cast<size_t>(st->admitted[0] + st->admitted[1]);
+      if (st->closes != 1)
+        return "stream closed " + std::to_string(st->closes) +
+               " times, want exactly once";
+      if (!st->channel.closed()) return "stream never closed";
+      if (consumer == ChannelConsumer::kCancel) {
+        if (st->delivered > admitted) return "delivered rows never admitted";
+        return "";
+      }
+      if (limit != UINT64_MAX && admitted != limit)
+        return "admitted " + std::to_string(admitted) + ", want the limit " +
+               std::to_string(limit);
+      if (st->delivered != admitted)
+        return "delivered " + std::to_string(st->delivered) + " of " +
+               std::to_string(admitted) + " admitted rows";
+      return "";
+    };
+    return tc;
+  };
+}
+
+/// The lost-rows mutation's harness: room for every row (no producer
+/// stalls), drained to the end.
+TestFactory ChannelMutationFactory() {
+  return ChannelFactory(/*capacity=*/8, UINT64_MAX, ChannelConsumer::kDrain);
+}
+
+/// RAII toggle for the close-before-last-flush mutation.
+class ScopedChannelMutation {
+ public:
+  ScopedChannelMutation() {
+    ResultChannel::mutation_close_before_last_flush_for_test = true;
+  }
+  ~ScopedChannelMutation() {
+    ResultChannel::mutation_close_before_last_flush_for_test = false;
+  }
+};
+
+TEST(ResultChannelCheck, FullChannelDeliversEveryRowOnce) {
+  // Capacity 1: every second flush stalls until the consumer pops.
+  Explorer::Options opts = SmokeOptions(/*seed=*/71);
+  opts.spurious_budget = 1;
+  Explorer explorer(opts);
+  const auto result = explorer.Explore(
+      "result_channel_full",
+      ChannelFactory(/*capacity=*/1, UINT64_MAX, ChannelConsumer::kDrain));
+  EXPECT_TRUE(result.ok) << result.failure << "\ntrace: "
+                         << result.failing_trace;
+}
+
+TEST(ResultChannelCheck, LimitFillRacesProducerFinish) {
+  // LIMIT 3 over four candidate rows: the filling admission raises the
+  // stop flag while the other producer may be mid-flush or retiring.
+  Explorer::Options opts = SmokeOptions(/*seed=*/73);
+  opts.dfs_max_schedules = 2000;
+  Explorer explorer(opts);
+  const auto result = explorer.Explore(
+      "result_channel_limit",
+      ChannelFactory(/*capacity=*/1, /*limit=*/3, ChannelConsumer::kDrain));
+  EXPECT_TRUE(result.ok) << result.failure << "\ntrace: "
+                         << result.failing_trace;
+}
+
+TEST(ResultChannelCheck, CancelNeverStrandsAStalledProducer) {
+  // The consumer leaves after one batch; a producer stalled on the full
+  // channel must wake (Abandon), and the last one must still close.
+  Explorer::Options opts = SmokeOptions(/*seed=*/79);
+  opts.spurious_budget = 1;
+  Explorer explorer(opts);
+  const auto result = explorer.Explore(
+      "result_channel_cancel",
+      ChannelFactory(/*capacity=*/1, UINT64_MAX, ChannelConsumer::kCancel));
+  EXPECT_TRUE(result.ok) << result.failure << "\ntrace: "
+                         << result.failing_trace;
+}
+
+TEST(ResultChannelMutation, ExplorationFindsTheLostFinalFlush) {
+  ScopedChannelMutation mutate;
+  // The losing schedule starves one producer between its retirement and
+  // its flush while the other producer and the consumer run to the end —
+  // rare under a uniform walk, so this harness gets a longer one.
+  Explorer::Options opts = SmokeOptions(/*seed=*/83);
+  opts.random_schedules = 4000;
+  Explorer explorer(opts);
+  const auto result =
+      explorer.Explore("result_channel_mutated", ChannelMutationFactory());
+  ASSERT_FALSE(result.ok)
+      << "closing the stream before the last flush must be caught";
+  EXPECT_NE(result.failure.find("admitted rows"), std::string::npos)
+      << result.failure;
+  // Printed so the schedule can be pinned in the corpus verbatim.
+  std::cerr << "[check] result_channel_mutated trace: "
+            << result.failing_trace << "\n";
+  const auto replay = explorer.Replay("result_channel_mutated",
+                                      ChannelMutationFactory(),
+                                      result.failing_trace);
+  EXPECT_FALSE(replay.ok) << "the recorded schedule must reproduce";
+}
+
 // --- server RequestQueue: no loss, per-lane FIFO, backpressure ---------------
 
 struct QueueState {
@@ -579,14 +745,30 @@ TEST(MetricsCheck, ExplorationPublishesCoverageCounters) {
 
 // --- the regression corpus ---------------------------------------------------
 
-/// Target registry for corpus entries: name -> (factory, needs mutation).
-const std::map<std::string, std::pair<TestFactory, bool>>& CorpusTargets() {
+/// The code-path mutation a corpus target replays under.
+enum class Mutation { kNone, kStemTsOutsideLock, kChannelCloseBeforeFlush };
+
+void SetMutation(Mutation mutation, bool on) {
+  if (mutation == Mutation::kStemTsOutsideLock) {
+    ShardedStem::mutation_ts_outside_lock_for_test = on;
+  }
+  if (mutation == Mutation::kChannelCloseBeforeFlush) {
+    ResultChannel::mutation_close_before_last_flush_for_test = on;
+  }
+}
+
+/// Target registry for corpus entries: name -> (factory, mutation).
+const std::map<std::string, std::pair<TestFactory, Mutation>>& CorpusTargets() {
   static const auto* targets =
-      new std::map<std::string, std::pair<TestFactory, bool>>{
-          {"stem_visibility", {VisibilityFactory(), false}},
-          {"stem_visibility_mutated", {VisibilityFactory(), true}},
-          {"limit_gate", {LimitFactory(), false}},
-          {"request_queue", {QueueFactory(), false}},
+      new std::map<std::string, std::pair<TestFactory, Mutation>>{
+          {"stem_visibility", {VisibilityFactory(), Mutation::kNone}},
+          {"stem_visibility_mutated",
+           {VisibilityFactory(), Mutation::kStemTsOutsideLock}},
+          {"limit_gate", {LimitFactory(), Mutation::kNone}},
+          {"request_queue", {QueueFactory(), Mutation::kNone}},
+          {"result_channel", {ChannelMutationFactory(), Mutation::kNone}},
+          {"result_channel_mutated",
+           {ChannelMutationFactory(), Mutation::kChannelCloseBeforeFlush}},
       };
   return *targets;
 }
@@ -605,14 +787,18 @@ TEST(CorpusCheck, EveryRecordedScheduleStillBehaves) {
     const auto it = CorpusTargets().find(entry.target);
     ASSERT_NE(it, CorpusTargets().end())
         << "corpus names unknown target '" << entry.target << "'";
-    const auto& [factory, mutated] = it->second;
-    ShardedStem::mutation_ts_outside_lock_for_test = mutated;
+    const auto& [factory, mutation] = it->second;
+    SetMutation(mutation, true);
     const auto result = explorer.Replay(entry.target, factory, entry.trace);
-    ShardedStem::mutation_ts_outside_lock_for_test = false;
+    SetMutation(mutation, false);
     if (entry.expect == "fail") {
       EXPECT_FALSE(result.ok)
           << "recorded failing schedule no longer fails — if the bug class "
              "is truly gone, retire the corpus entry deliberately";
+      // It must fail on the invariant, not by no longer applying to the
+      // code (a diverged replay would keep a stale entry vacuously red).
+      EXPECT_EQ(result.failure.find("divergence"), std::string::npos)
+          << result.failure;
     } else {
       EXPECT_TRUE(result.ok) << result.failure;
     }

@@ -761,5 +761,62 @@ TEST_F(ServerTest, CancelStopsAStreamingQuery) {
   EXPECT_TRUE(client.Close().ok());
 }
 
+TEST_F(ServerTest, SimQueryCompletesWhileAThreadedQueryStreams) {
+  // fan_l ⋈ fan_r: 20,000 rows, far more than a threaded query's result
+  // channel holds, so the run cannot finish while its reader holds back.
+  for (const std::string name : {"fan_l", "fan_r"}) {
+    std::vector<std::vector<int64_t>> rows;
+    for (int64_t i = 0; i < 200; ++i) rows.push_back({i % 2, i});
+    TableDef def{name, IntSchema({"k", "id"}), {ScanSpec(name + ".scan")}};
+    ASSERT_TRUE(engine_.AddTable(std::move(def), IntRows(rows)).ok());
+  }
+  StartServer();
+
+  Client streaming;
+  ASSERT_TRUE(streaming.Connect("127.0.0.1", server_->port(), "tenant_a").ok());
+  auto prepared = streaming.Prepare(
+      "SELECT fan_l.id, fan_r.id FROM fan_l, fan_r WHERE fan_l.k = fan_r.k");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  auto portal = streaming.Bind(prepared.Value().stmt_id);
+  ASSERT_TRUE(portal.ok());
+  auto submit = streaming.Submit(portal.Value(), "threaded");
+  ASSERT_TRUE(submit.ok()) << submit.status().message();
+  const uint64_t query_id = submit.Value().query_id;
+  // The first Fetch parks on the engine thread until a worker flushes.
+  auto first = streaming.Fetch(query_id, 1);
+  ASSERT_TRUE(first.ok()) << first.status().message();
+  ASSERT_EQ(first.Value().rows.size(), 1u);
+  EXPECT_FALSE(first.Value().done);
+
+  // Another session's sim query is served while the threaded one runs:
+  // the engine thread never waits on the workers.
+  Client sim;
+  ASSERT_TRUE(sim.Connect("127.0.0.1", server_->port(), "tenant_b").ok());
+  auto rows = sim.RunQuery(kJoinSql, SqlParams().Set("min", Value::Int64(30)));
+  ASSERT_TRUE(rows.ok()) << rows.status().message();
+  EXPECT_EQ(Sorted(WireRows(rows.Value())),
+            Sorted(InProcessRows(kJoinSql,
+                                 SqlParams().Set("min", Value::Int64(30)))));
+  EXPECT_EQ(server_->TenantStats("tenant_a").running_queries, 1u)
+      << "the threaded query finished before its reader drained it";
+  EXPECT_TRUE(sim.Close().ok());
+
+  // Every later page is full until the last: a Fetch is answered when its
+  // rows are there, never with a partial page.
+  size_t total = first.Value().rows.size();
+  size_t fetches = 0;
+  while (true) {
+    auto page = streaming.Fetch(query_id, 4096);
+    ASSERT_TRUE(page.ok()) << page.status().message();
+    ++fetches;
+    total += page.Value().rows.size();
+    if (page.Value().done) break;
+    EXPECT_EQ(page.Value().rows.size(), 4096u);
+  }
+  EXPECT_EQ(total, 20000u);
+  EXPECT_LE(fetches, 20000u / 4096 + 2);
+  EXPECT_TRUE(streaming.Close().ok());
+}
+
 }  // namespace
 }  // namespace stems::server

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -359,12 +360,13 @@ TEST(ThreadedEquivalence, EngineSubmitAndStats) {
   auto submitted = engine.Submit(query, RunOptions::Threaded(2));
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
   QueryHandle handle = std::move(submitted).ValueOrDie();
-  EXPECT_TRUE(handle.done());
   EXPECT_EQ(handle.eddy(), nullptr);
 
+  // The run streams: the handle is done once the drain saw the stream end.
   std::vector<std::string> duplicates;
   EXPECT_EQ(KeysOf(handle.cursor().Drain(), &duplicates), expected);
   EXPECT_TRUE(duplicates.empty());
+  EXPECT_TRUE(handle.done());
 
   const QueryStats stats = handle.Stats();
   EXPECT_EQ(stats.executor, "threaded");
@@ -387,6 +389,63 @@ TEST(ThreadedEquivalence, EngineSubmitAndStats) {
       RunOptions::Threaded(2));
   ASSERT_TRUE(sql.ok()) << sql.status().ToString();
   EXPECT_EQ(std::move(sql).ValueOrDie().cursor().Drain().size(), 5u);
+}
+
+TEST(ThreadedEquivalence, InterleavedNextAcrossBatchSizes) {
+  // Two streams at once, morsels of 1 and of 64 rows, read one Next() at a
+  // time in alternation. The second run queues behind the first inside the
+  // executor; each result set fits the result channel, so the first run
+  // can finish (and the second start) while its reader is still at row 1.
+  Engine engine;
+  TableDef r;
+  r.name = "R";
+  r.schema = IntSchema({"a", "b"});
+  r.access_methods = {ScanSpec("R.scan")};
+  ASSERT_TRUE(engine.AddTable(r, RandomIntRows(22, 60, 2, 6)).ok());
+  TableDef s;
+  s.name = "S";
+  s.schema = IntSchema({"x", "y"});
+  s.access_methods = {ScanSpec("S.scan")};
+  ASSERT_TRUE(engine.AddTable(s, RandomIntRows(23, 60, 2, 6)).ok());
+  QueryBuilder qb(engine.catalog());
+  qb.AddTable("R").AddTable("S").AddJoin("R.a", "S.x");
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+  const std::set<std::string> expected =
+      BruteForceResultSet(query, engine.store());
+  ASSERT_LT(expected.size(), ResultChannel::kCapacityRows);
+
+  std::vector<ResultCursor> cursors;
+  std::vector<QueryHandle> handles;
+  for (size_t batch : {size_t{1}, size_t{64}}) {
+    RunOptions options = RunOptions::Threaded(2);
+    options.batch_size = batch;
+    auto submitted = engine.Submit(query, options);
+    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+    handles.push_back(std::move(submitted).ValueOrDie());
+    cursors.push_back(handles.back().cursor());
+  }
+  std::vector<std::vector<TuplePtr>> rows(2);
+  std::vector<bool> open = {true, true};
+  while (open[0] || open[1]) {
+    for (size_t q = 0; q < 2; ++q) {
+      if (!open[q]) continue;
+      std::optional<TuplePtr> t = cursors[q].Next();
+      if (t.has_value()) {
+        rows[q].push_back(std::move(*t));
+      } else {
+        open[q] = false;
+      }
+    }
+  }
+  for (size_t q = 0; q < 2; ++q) {
+    SCOPED_TRACE(q == 0 ? "batch 1" : "batch 64");
+    std::vector<std::string> duplicates;
+    EXPECT_EQ(KeysOf(rows[q], &duplicates), expected);
+    EXPECT_TRUE(duplicates.empty());
+    EXPECT_TRUE(handles[q].done());
+    EXPECT_EQ(handles[q].Stats().num_results, expected.size());
+    EXPECT_EQ(cursors[q].consumed(), expected.size());
+  }
 }
 
 TEST(ThreadedEquivalence, UnsupportedCombinationsAreTypedErrors) {

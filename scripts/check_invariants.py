@@ -58,6 +58,15 @@ conventions:
                    the policies with its own formulas and silently routes
                    every other registered policy some default way.
 
+  stem-storage-fork
+                   SteM state (entries, content dedup, column indexes,
+                   spill) lives in src/stem/ (StemStorage). No file under
+                   src/exec/ may declare a RowRefContentHash container (a
+                   content-dedup set) or an unordered_map<Value, ...> (a
+                   column index): that is how a second SteM storage grows
+                   back beside the threaded ShardedStem, with its own spill
+                   semantics and its own I/O accounting.
+
 Suppression (sparingly): a line, or the line above it, may carry
 `// invariant: allow(<rule>) -- <reason>`. The reason is mandatory.
 
@@ -110,6 +119,10 @@ POLICY_BY_NAME_RE = re.compile(
     rf"(?:==|!=)\s*{POLICY_NAME}|{POLICY_NAME}\s*(?:==|!=)"
     rf"|(?:compare|strcmp)\s*\([^)]*{POLICY_NAME}")
 POLICY_HOME_DIRS = ("src/eddy/policies/", "src/engine/")
+
+STEM_FORK_RE = re.compile(
+    r"\bRowRefContentHash\b|\bunordered_map\s*<\s*(?:stems::)?Value\s*,")
+STEM_FORK_DIRS = ("src/exec/",)
 
 NET_THREAD_MARKER = "--- network thread"
 ENGINE_THREAD_MARKER = "--- engine thread"
@@ -211,6 +224,16 @@ def check_file(rel, lines, errors):
                 f"built-in routing-policy name; create the policy through "
                 f"PolicyRegistry and call it instead of dispatching on its "
                 f"name (a second router)")
+
+        # stem-storage-fork ---------------------------------------------
+        if (rel.startswith(STEM_FORK_DIRS) and not is_comment(line)
+                and STEM_FORK_RE.search(line)
+                and not allowed(lines, i, "stem-storage-fork")):
+            errors.append(
+                f"{rel}:{lineno}: [stem-storage-fork] content-dedup set or "
+                f"value-keyed column index in src/exec/; SteM state lives "
+                f"in src/stem/ (StemStorage) — hold a StemStorage instead "
+                f"of forking one")
 
         # schedulable-atomic --------------------------------------------
         if (rel.startswith(("src/exec/", "src/server/"))

@@ -15,7 +15,8 @@
 // This is how the project's two hardest prose invariants became
 // machine-checked (docs/static_analysis.md):
 //   * the §3.1 visibility contract — ShardedStem build-timestamp issuance
-//     must happen inside the shard critical section (sharded_stem.h);
+//     must happen inside the shard critical section that guards the
+//     shard's StemStorage (sharded_stem.h);
 //   * engine-thread ownership — only the server's engine thread touches
 //     the Engine (server.h; the linter's `engine-thread` rule covers the
 //     cross-file half).

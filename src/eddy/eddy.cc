@@ -598,7 +598,7 @@ void Eddy::OnStemChanged(int table_ordinal) {
   }
 }
 
-Eddy::SpillSummary Eddy::SpillStats() const {
+SpillSummary Eddy::SpillStats() const {
   SpillSummary out;
   for (const auto& module : modules_) {
     if (module->kind() != ModuleKind::kStem) continue;

@@ -25,6 +25,7 @@
 #include "runtime/query_context.h"
 #include "sm/selection_module.h"
 #include "spill/spill_options.h"
+#include "spill/spill_summary.h"
 #include "stem/stem.h"
 
 namespace stems {
@@ -152,18 +153,7 @@ class Eddy {
   /// The §6 global memory governor (budget configured via EddyOptions).
   const MemoryGovernor& memory_governor() const { return memory_governor_; }
 
-  /// Aggregated spill-subsystem counters across this query's SteMs and the
-  /// shared buffer pool (all zero when spill is disabled).
-  struct SpillSummary {
-    uint64_t spill_ios = 0;      ///< simulated disk page reads + writes
-    uint64_t bytes_spilled = 0;  ///< bytes ever appended to run files
-    uint64_t entries_spilled = 0;  ///< live entries currently on disk
-    size_t partitions_resident = 0;
-    size_t partitions_spilled = 0;
-    uint64_t pool_hits = 0;
-    uint64_t pool_misses = 0;
-    uint64_t pool_evictions = 0;
-  };
+  /// Spill counters across this query's SteMs and its buffer pool.
   SpillSummary SpillStats() const;
 
   /// The query-wide spill buffer pool; nullptr when spill is disabled.

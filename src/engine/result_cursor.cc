@@ -17,6 +17,14 @@ std::vector<TuplePtr>* UnreadBuffer(internal::QueryExecution* exec) {
   return &rows;
 }
 
+/// The query's spill counters, from either executor. Threaded runs answer
+/// from their live counters (final once the channel closes), so a spilling
+/// query's I/O is visible while it streams.
+SpillSummary SpillStatsOf(const internal::QueryExecution& exec) {
+  if (exec.threaded != nullptr) return exec.threaded->SpillStats();
+  return exec.eddy->SpillStats();
+}
+
 }  // namespace
 
 std::optional<TuplePtr> ResultCursor::Next() {
@@ -132,23 +140,16 @@ std::string RowView::ToString() const {
   return out;
 }
 
-// Threaded runs answer from their live counters (final once the channel
-// closes), so a spilling query's I/O is visible while it streams.
 uint64_t ResultCursor::spill_ios() const {
-  if (exec_->threaded != nullptr) return exec_->threaded->spill_ios();
-  return exec_->eddy->SpillStats().spill_ios;
+  return SpillStatsOf(*exec_).spill_ios;
 }
 
 uint64_t ResultCursor::bytes_spilled() const {
-  if (exec_->threaded != nullptr) return exec_->threaded->bytes_spilled();
-  return exec_->eddy->SpillStats().bytes_spilled;
+  return SpillStatsOf(*exec_).bytes_spilled;
 }
 
 size_t ResultCursor::partitions_resident() const {
-  if (exec_->threaded != nullptr) {
-    return exec_->threaded->partitions_resident();
-  }
-  return exec_->eddy->SpillStats().partitions_resident;
+  return SpillStatsOf(*exec_).partitions_resident;
 }
 
 void QueryHandle::Wait() {
@@ -182,55 +183,45 @@ void QueryHandle::Cancel() {
 }
 
 QueryStats QueryHandle::Stats() const {
+  QueryStats stats;
+  stats.policy = exec_->policy_name;
+  stats.cancelled = exec_->cancelled;
   if (exec_->threaded != nullptr) {
-    QueryStats stats;
     stats.executor = "threaded";
-    stats.policy = exec_->policy_name;
-    stats.cancelled = exec_->cancelled;
     // completed_at stays kSimTimeNever: a threaded run has no virtual clock.
     const std::optional<ExecOutcome> outcome =
         exec_->threaded->results().summary();
-    if (!outcome.has_value()) {
-      // Still running: the rows seen so far and the live spill counters;
-      // the routing counters are worker-private until completion.
+    if (outcome.has_value()) {
+      stats.num_results = outcome->totals.results;
+      stats.tuples_routed = outcome->totals.tuples_routed;
+      stats.tuples_retired = outcome->totals.tuples_retired;
+      stats.routing_wall_ns = outcome->totals.routing_wall_ns;
+      stats.constraint_violations = outcome->violations.size();
+      stats.worker_counters = outcome->workers;
+    } else {
+      // Still running: the rows seen so far; the routing counters are
+      // worker-private until completion.
       stats.num_results = exec_->next_result + exec_->threaded_rows.size() -
                           exec_->threaded_head;
-      stats.spill_ios = exec_->threaded->spill_ios();
-      stats.bytes_spilled = exec_->threaded->bytes_spilled();
-      return stats;
     }
-    stats.num_results = outcome->totals.results;
-    stats.tuples_routed = outcome->totals.tuples_routed;
-    stats.tuples_retired = outcome->totals.tuples_retired;
-    stats.routing_wall_ns = outcome->totals.routing_wall_ns;
-    stats.constraint_violations = outcome->violations.size();
-    stats.worker_counters = outcome->workers;
-    stats.spill_ios = outcome->spill_ios;
-    stats.bytes_spilled = outcome->bytes_spilled;
-    stats.entries_spilled = outcome->entries_spilled;
-    stats.partitions_resident = outcome->partitions_resident;
-    stats.partitions_spilled = outcome->partitions_spilled;
-    return stats;
+  } else {
+    const Eddy& eddy = *exec_->eddy;
+    stats.executor = "sim";
+    stats.num_results = eddy.num_results();
+    stats.tuples_routed = eddy.tuples_routed();
+    stats.tuples_retired = eddy.tuples_retired();
+    stats.routing_wall_ns = eddy.routing_wall_ns();
+    stats.constraint_violations = eddy.violations().size();
+    stats.parked = eddy.parked_count();
+    stats.completed_at = exec_->completed_at;
+    for (const auto& module : eddy.modules()) {
+      if (module->kind() != ModuleKind::kStem) continue;
+      const auto* stem = static_cast<const Stem*>(module.get());
+      stats.builds_avoided += stem->builds_avoided();
+      if (stem->attached_shared()) ++stats.stems_shared;
+    }
   }
-  const Eddy& eddy = *exec_->eddy;
-  QueryStats stats;
-  stats.executor = "sim";
-  stats.num_results = eddy.num_results();
-  stats.tuples_routed = eddy.tuples_routed();
-  stats.tuples_retired = eddy.tuples_retired();
-  stats.routing_wall_ns = eddy.routing_wall_ns();
-  stats.constraint_violations = eddy.violations().size();
-  stats.parked = eddy.parked_count();
-  stats.completed_at = exec_->completed_at;
-  stats.policy = exec_->policy_name;
-  stats.cancelled = exec_->cancelled;
-  for (const auto& module : eddy.modules()) {
-    if (module->kind() != ModuleKind::kStem) continue;
-    const auto* stem = static_cast<const Stem*>(module.get());
-    stats.builds_avoided += stem->builds_avoided();
-    if (stem->attached_shared()) ++stats.stems_shared;
-  }
-  const Eddy::SpillSummary spill = eddy.SpillStats();
+  const SpillSummary spill = SpillStatsOf(*exec_);
   stats.spill_ios = spill.spill_ios;
   stats.bytes_spilled = spill.bytes_spilled;
   stats.entries_spilled = spill.entries_spilled;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "runtime/tuple.h"
+#include "spill/spill_summary.h"
 
 namespace stems {
 
@@ -86,13 +87,9 @@ struct ExecOutcome {
   std::vector<WorkerCounters> workers;
   /// Aggregate of `workers` (merged when the run completes).
   WorkerCounters totals;
-  /// Spill observability of the sharded state (the sim path reports through
-  /// Eddy::SpillStats instead).
-  uint64_t spill_ios = 0;
-  uint64_t bytes_spilled = 0;
-  uint64_t entries_spilled = 0;
-  size_t partitions_resident = 0;
-  size_t partitions_spilled = 0;
+  /// Spill counters of the sharded state, in the sim's shape
+  /// (Eddy::SpillStats).
+  SpillSummary spill;
   /// Shard-mutex contention: blocked hot-path acquisitions and the wall
   /// time they spent waiting.
   uint64_t shard_lock_waits = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include "stem/stem_index.h"
+
 namespace stems {
 
 namespace {
@@ -35,25 +37,41 @@ class STEMS_SCOPED_CAPABILITY ContentionLock {
   Mutex& mu_;
 };
 
-/// Rough in-memory footprint of a row, for the spill byte counters (the
-/// same order of accounting the simulated spill files use).
-uint64_t ApproxRowBytes(const Row& row) {
-  return 16 + 16 * static_cast<uint64_t>(row.num_values());
+}  // namespace
+
+void ShardedSpillState::EnableSpill(size_t budget,
+                                    const SpillOptions& spill_options,
+                                    obs::MetricsRegistry* registry) {
+  budget_entries = budget;
+  options = spill_options;
+  MutexLock lock(&pool_mu);
+  pool = std::make_unique<BufferPool>(options);
+  pool->AttachRegistry(registry);
 }
 
-uint64_t PagesFor(uint64_t bytes) { return bytes / 4096 + 1; }
-
-}  // namespace
+SpillSummary ShardedSpillState::Summarize(
+    const std::vector<std::unique_ptr<ShardedStem>>& stems) const {
+  SpillSummary out;
+  out.spill_ios = spill_ios.load(std::memory_order_relaxed);
+  out.bytes_spilled = bytes_spilled.load(std::memory_order_relaxed);
+  if (pool == nullptr) return out;  // spill disabled
+  for (const auto& stem : stems) stem->AddResidency(&out);
+  MutexLock lock(&pool_mu);
+  out.pool_hits = pool->stats().hits;
+  out.pool_misses = pool->stats().misses;
+  out.pool_evictions = pool->stats().evictions;
+  return out;
+}
 
 bool ShardedStem::mutation_ts_outside_lock_for_test = false;
 
 ShardedStem::ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
                          Atomic<BuildTs>* ts_counter,
                          ShardedSpillState* spill)
-    : slot_(slot), ts_counter_(ts_counter), spill_(spill) {
+    : ts_counter_(ts_counter), spill_(spill) {
   for (const auto& pred : query.predicates()) {
     if (!pred.is_join() || pred.op() != CompareOp::kEq) continue;
-    auto col = pred.EquiJoinColumnFor(slot_);
+    auto col = pred.EquiJoinColumnFor(slot);
     if (!col.has_value()) continue;
     if (std::find(index_columns_.begin(), index_columns_.end(), *col) ==
         index_columns_.end()) {
@@ -61,13 +79,24 @@ ShardedStem::ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
     }
   }
   std::sort(index_columns_.begin(), index_columns_.end());
+  const std::string& table =
+      query.slots()[static_cast<size_t>(slot)].table_name;
   shards_.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    auto shard = std::make_unique<Shard>();
+    auto shard = std::make_unique<Shard>(table);
     // The shard is private until the constructor returns; the lock exists
     // to satisfy the guarded_by contract, and is uncontended by definition.
     MutexLock lock(&shard->mu);
-    shard->indexes.resize(index_columns_.size());
+    for (int col : index_columns_) {
+      shard->storage.indexes().emplace_back(col,
+                                            std::make_unique<HashStemIndex>());
+    }
+    if (spill_ != nullptr && spill_->pool != nullptr) {
+      // part_col -1: the shard is one spill partition, partition 0.
+      MutexLock pool_lock(&spill_->pool_mu);
+      shard->storage.EnableSpill(spill_->pool.get(), spill_->options,
+                                 /*part_col=*/-1);
+    }
     shards_.push_back(std::move(shard));
   }
 }
@@ -86,6 +115,11 @@ size_t ShardedStem::ShardOfRow(const Row& row) const {
   return row.Hash() % shards_.size();
 }
 
+void ShardedStem::Account(const StemStorage::SpillResult& io) {
+  spill_->spill_ios.fetch_add(io.ios, std::memory_order_relaxed);
+  spill_->bytes_spilled.fetch_add(io.bytes, std::memory_order_relaxed);
+}
+
 ShardedStem::BuildResult ShardedStem::Build(const RowRef& row) {
   Shard& shard = *shards_[ShardOfRow(*row)];
   BuildResult out;
@@ -96,56 +130,55 @@ ShardedStem::BuildResult ShardedStem::Build(const RowRef& row) {
   if (mutation_ts_outside_lock_for_test) {
     mutated_ts = ts_counter_->fetch_add(1);
   }
+  const bool budgeted = spill_ != nullptr && spill_->budget_entries > 0;
   {
     ContentionLock lock(shard.mu, spill_);
-    if (shard.dedup.count(row) > 0) return out;  // absorbed (§3.2)
+    StemStorage& storage = shard.storage;
+    if (storage.Contains(row)) return out;  // absorbed (§3.2)
     // Timestamp issuance and entry publication share this critical
     // section — the visibility contract every probe relies on.
     out.ts = mutation_ts_outside_lock_for_test ? mutated_ts
                                                : ts_counter_->fetch_add(1);
     out.inserted = true;
-    const auto ord = static_cast<uint32_t>(shard.entries.size());
-    shard.entries.push_back(Entry{row, out.ts});
-    shard.dedup.insert(row);
-    if (shard.resident) {
-      for (size_t i = 0; i < index_columns_.size(); ++i) {
-        shard.indexes[i][row->value(static_cast<size_t>(index_columns_[i]))]
-            .push_back(ord);
-      }
-      if (spill_ != nullptr && spill_->budget_entries > 0) {
-        spill_->resident.fetch_add(1, std::memory_order_relaxed);
-      }
-    } else if (spill_ != nullptr) {
-      // Appending behind a spilled shard goes straight to its run file:
-      // no index maintenance now (FaultInLocked rebuilds from the entry
-      // log), one simulated write.
-      const uint64_t bytes = ApproxRowBytes(*row);
-      spill_->entries_spilled.fetch_add(1, std::memory_order_relaxed);
-      spill_->bytes_spilled.fetch_add(bytes, std::memory_order_relaxed);
-      spill_->spill_ios.fetch_add(1, std::memory_order_relaxed);
+    if (storage.PartitionResident(0)) {
+      storage.Insert(row, out.ts);
+      if (budgeted) spill_->resident.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      // A build behind a spilled shard goes straight to its run file.
+      MutexLock pool_lock(&spill_->pool_mu);
+      Account(storage.AppendToSpilledPartition(0, row, out.ts));
     }
   }
-  if (out.inserted && spill_ != nullptr && spill_->budget_entries > 0) {
-    EnforceBudget(&shard);
-  }
-  if (out.inserted) entries_.fetch_add(1, std::memory_order_relaxed);
+  if (budgeted) EnforceBudget(&shard);
+  entries_.fetch_add(1, std::memory_order_relaxed);
   return out;
 }
 
 void ShardedStem::ProbeShard(Shard* shard, int idx, const Value* key,
-                             BuildTs probe_ts, Matches* out) {
+                             BuildTs probe_ts, ProbeScratch* scratch) {
   ContentionLock lock(shard->mu, spill_);
-  if (!shard->resident) FaultInLocked(shard);
-  auto visit = [&](const Entry& e) {
-    if (e.ts <= probe_ts) out->emplace_back(e.row, e.ts);
+  StemStorage& storage = shard->storage;
+  if (!storage.PartitionResident(0)) {
+    MutexLock pool_lock(&spill_->pool_mu);
+    const StemStorage::SpillResult io = storage.FaultInPartition(0);
+    Account(io);
+    // The budget may now be transiently exceeded; the next build's
+    // EnforceBudget pass restores it (the simulated spill subsystem
+    // over-commits across a fault-in the same way).
+    spill_->resident.fetch_add(static_cast<int64_t>(io.entries),
+                               std::memory_order_relaxed);
+  }
+  const std::vector<StemStorage::Entry>& entries = storage.entries();
+  auto visit = [&](const StemStorage::Entry& e) {
+    if (e.ts <= probe_ts) scratch->matches.emplace_back(e.row, e.ts);
   };
   if (idx >= 0) {
-    auto it = shard->indexes[static_cast<size_t>(idx)].find(*key);
-    if (it != shard->indexes[static_cast<size_t>(idx)].end()) {
-      for (uint32_t ord : it->second) visit(shard->entries[ord]);
-    }
+    scratch->ids.clear();
+    storage.indexes()[static_cast<size_t>(idx)].second->LookupEq(
+        *key, &scratch->ids);
+    for (uint32_t id : scratch->ids) visit(entries[id]);
   } else {
-    for (const Entry& e : shard->entries) visit(e);
+    for (const StemStorage::Entry& e : entries) visit(e);
   }
 }
 
@@ -163,45 +196,19 @@ std::pair<int, int> ShardedStem::IndexForBindings(
   return best;
 }
 
-void ShardedStem::FaultInLocked(Shard* shard) {
-  shard->indexes.assign(index_columns_.size(), ColumnIndex{});
-  for (uint32_t ord = 0; ord < shard->entries.size(); ++ord) {
-    const Row& row = *shard->entries[ord].row;
-    for (size_t i = 0; i < index_columns_.size(); ++i) {
-      shard->indexes[i][row.value(static_cast<size_t>(index_columns_[i]))]
-          .push_back(ord);
-    }
-  }
-  shard->resident = true;
-  if (spill_ != nullptr) {
-    const auto n = static_cast<int64_t>(shard->entries.size());
-    uint64_t bytes = 0;
-    for (const Entry& e : shard->entries) bytes += ApproxRowBytes(*e.row);
-    spill_->resident.fetch_add(n, std::memory_order_relaxed);
-    spill_->entries_spilled.fetch_sub(static_cast<uint64_t>(n),
-                                      std::memory_order_relaxed);
-    spill_->spill_ios.fetch_add(PagesFor(bytes), std::memory_order_relaxed);
-    spill_->faults.fetch_add(1, std::memory_order_relaxed);
-    // The budget may now be transiently exceeded; the next build's
-    // EnforceBudget pass restores it (the simulated spill subsystem
-    // over-commits across a fault-in the same way).
-  }
-}
-
 void ShardedStem::EnforceBudget(const Shard* except) {
   while (spill_->resident.load(std::memory_order_relaxed) >
          static_cast<int64_t>(spill_->budget_entries)) {
     // Victim: this stem's largest resident shard. Each shard is locked
-    // only for the size/residency peek (entry counts only grow, so the
-    // sampled victim stays reasonable even if it grows meanwhile). Avoid
-    // the shard just built into — spilling it would thrash.
+    // only for the size peek (the sampled victim stays reasonable even if
+    // it grows meanwhile). Avoid the shard just built into — spilling it
+    // would thrash.
     Shard* victim = nullptr;
     size_t victim_size = 0;
     for (auto& shard : shards_) {
       if (shard.get() == except) continue;
       MutexLock lock(&shard->mu);
-      if (!shard->resident) continue;
-      const size_t n = shard->entries.size();
+      const size_t n = shard->storage.live_entries();
       if (n > victim_size) {
         victim = shard.get();
         victim_size = n;
@@ -209,33 +216,23 @@ void ShardedStem::EnforceBudget(const Shard* except) {
     }
     if (victim == nullptr) return;  // nothing local left to spill
     MutexLock lock(&victim->mu);
-    if (!victim->resident || victim->entries.empty()) continue;
-    victim->indexes.clear();
-    victim->resident = false;
-    const auto n = static_cast<int64_t>(victim->entries.size());
-    uint64_t bytes = 0;
-    for (const Entry& e : victim->entries) bytes += ApproxRowBytes(*e.row);
-    spill_->resident.fetch_sub(n, std::memory_order_relaxed);
-    spill_->entries_spilled.fetch_add(static_cast<uint64_t>(n),
-                                      std::memory_order_relaxed);
-    spill_->bytes_spilled.fetch_add(bytes, std::memory_order_relaxed);
-    spill_->spill_ios.fetch_add(PagesFor(bytes), std::memory_order_relaxed);
+    MutexLock pool_lock(&spill_->pool_mu);
+    // A victim spilled by another worker meanwhile moves nothing here; the
+    // loop re-reads the budget and picks again.
+    const StemStorage::SpillResult io = victim->storage.SpillColdestPartition();
+    Account(io);
+    spill_->resident.fetch_sub(static_cast<int64_t>(io.entries),
+                               std::memory_order_relaxed);
   }
 }
 
-std::pair<size_t, size_t> ShardedStem::ShardResidency() const {
-  size_t resident = 0;
-  size_t spilled = 0;
+void ShardedStem::AddResidency(SpillSummary* out) const {
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    if (shard->entries.empty()) continue;
-    if (shard->resident) {
-      ++resident;
-    } else {
-      ++spilled;
-    }
+    out->entries_spilled += shard->storage.entries_spilled();
+    out->partitions_resident += shard->storage.partitions_resident();
+    out->partitions_spilled += shard->storage.partitions_spilled();
   }
-  return {resident, spilled};
 }
 
 }  // namespace stems

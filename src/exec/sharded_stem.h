@@ -2,10 +2,11 @@
 //
 // One ShardedStem per table slot, hash-partitioned into shards so workers
 // building and probing the same SteM contend only per shard, never globally
-// (docs/parallelism.md covers the ownership rules). Each shard owns:
-//   - its entry log (row + build timestamp),
-//   - the content-dedup set enforcing the paper's §3.2 set semantics,
-//   - one hash index per equi-join column of the slot.
+// (docs/parallelism.md covers the ownership rules). Each shard is a private
+// StemStorage (src/stem/) under its own mutex: the entries, the §3.2
+// content dedup and one hash index per equi-join column of the slot are
+// the sim SteM's storage, not a copy of it. What lives here is only what is
+// threaded: the shard routing, the shard locks and timestamp issuance.
 //
 // Visibility contract (the threaded analogue of the §3.1 timestamp rule):
 // a build issues its timestamp from the query-global atomic counter and
@@ -17,40 +18,56 @@
 // ts issuance in program order — would precede r's issuance, contradicting
 // ts(r) < ts(s)), so exactly the newer row observes the older one.
 //
-// Spill-lite: under a global resident-entry budget (the threaded mapping of
-// RunOptions::LargerThanMemory) whole shards are "spilled" — their hash
-// indexes are dropped and their entries accounted off-budget, standing in
-// for a partitioned run file exactly like the simulated spill subsystem
-// keeps its run files in memory. A probe touching a spilled shard faults it
-// back in (rebuilds the indexes, re-charges the budget). Results are never
-// affected, only the I/O counters and fault-in work.
+// Spill: under a global resident-entry budget (the threaded mapping of
+// RunOptions::LargerThanMemory) each shard is one spill partition. A build
+// past the budget spills the largest resident shard to its run file; a
+// probe touching a spilled shard faults it back in before reading. Results
+// are never affected, only the I/O counters and restore work.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "query/query_spec.h"
 #include "runtime/tuple.h"
+#include "spill/buffer_pool.h"
+#include "spill/spill_summary.h"
 #include "stem/probe_bindings.h"
+#include "stem/stem_storage.h"
 #include "types/row.h"
 #include "types/value.h"
 
 namespace stems {
 
-/// Budget + counters shared by all ShardedStems of one threaded query run.
-/// relaxed: every field is a monotone statistic accumulated by many workers
-/// and only read after the workers join (or for a best-effort budget check);
-/// no field orders any other memory access. They stay std::atomic (not the
-/// schedulable stems::Atomic) deliberately: statistics are not part of any
-/// sync protocol, and turning them into yield points would blow up the
-/// model checker's state space for zero coverage.
+namespace obs {
+class MetricsRegistry;
+}  // namespace obs
+
+class ShardedStem;
+
+/// Budget, run-wide pool + counters shared by all ShardedStems of one
+/// threaded query run.
+/// relaxed: every atomic is a statistic (or a best-effort budget check)
+/// that orders no other memory access; std::atomic, not stems::Atomic, so
+/// the model checker does not explore yield points no protocol depends on.
 struct ShardedSpillState {
+  /// Turns spill on for the stems constructed afterwards: `budget_entries`
+  /// resident entries across them (0 = unlimited), run files behind one
+  /// pool built from `options` (one partition per shard), publishing into
+  /// `registry` (nullable) like the sim's pool.
+  void EnableSpill(size_t budget_entries, const SpillOptions& options,
+                   obs::MetricsRegistry* registry = nullptr);
+
+  /// The run's spill counters; safe while workers run (takes each shard
+  /// lock, then the pool lock, one at a time).
+  SpillSummary Summarize(
+      const std::vector<std::unique_ptr<ShardedStem>>& stems) const;
+
   /// Resident-entry budget across all stems (0 = unlimited).
   size_t budget_entries = 0;
   /// Entries currently charged against the budget (resident shards only).
@@ -60,18 +77,21 @@ struct ShardedSpillState {
   std::atomic<uint64_t> spill_ios{0};
   // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
   std::atomic<uint64_t> bytes_spilled{0};
-  // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
-  std::atomic<uint64_t> entries_spilled{0};  ///< entries currently off-budget
-  // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
-  std::atomic<uint64_t> faults{0};  ///< relaxed: shard fault-ins by probes
-  /// relaxed: shard-mutex contention counters for the hot paths (Build /
-  /// ProbeShard): how many acquisitions found the mutex held, and the wall
-  /// time spent blocked. The uncontended path pays one try_lock and no
-  /// clock read.
+  /// Shard-mutex contention on the hot paths: acquisitions that found the
+  /// mutex held, and the wall time spent blocked.
   // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
   std::atomic<uint64_t> lock_waits{0};
   // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
   std::atomic<uint64_t> lock_wait_ns{0};
+
+  /// The run-wide page cache behind every shard's run file. Taken only on
+  /// spill paths (spill-out, fault-in, a build into a spilled shard) and
+  /// always inside a shard lock: lock order shard mu -> pool_mu.
+  mutable Mutex pool_mu;
+  /// Set by EnableSpill before any stem exists; null = spill disabled.
+  std::unique_ptr<BufferPool> pool STEMS_PT_GUARDED_BY(pool_mu);
+  /// What every shard storage's run file is enabled with (page size).
+  SpillOptions options;
 };
 
 class ShardedStem {
@@ -105,11 +125,6 @@ class ShardedStem {
   /// Equality bindings a probe carries (DeriveProbeBindings).
   using Bindings = ProbeBindings;
 
-  /// Invokes `fn(row, entry_ts)` for every stored entry matching `bindings`
-  /// with `entry_ts <= probe_ts` (§3.1's probe-side filter). A binding on
-  /// the shard-key column routes to one shard; a binding on another indexed
-  /// column uses that column's per-shard index across all shards; no usable
-  /// binding (range joins, cross products) scans everything.
   /// A probe match handed back to the prober: the stored row + its build
   /// timestamp, copied out of the shard so the (expensive) continuation —
   /// predicate evaluation, concatenation, cascading — runs *outside* the
@@ -118,62 +133,58 @@ class ShardedStem {
   /// observes is fixed at lock time, and the visibility contract only
   /// constrains the scan itself.
   using Matches = std::vector<std::pair<RowRef, BuildTs>>;
+  /// A worker's reusable probe buffers.
+  struct ProbeScratch {
+    Matches matches;
+    std::vector<uint32_t> ids;  ///< index lookup results of one shard
+  };
 
+  /// Invokes `fn(row, entry_ts)` for every stored entry matching `bindings`
+  /// with `entry_ts <= probe_ts` (§3.1's probe-side filter). A binding on
+  /// the shard-key column routes to one shard; a binding on another indexed
+  /// column uses that column's per-shard index across all shards; no usable
+  /// binding (range joins, cross products) scans everything.
   template <typename Fn>
   void Probe(const Bindings& bindings, BuildTs probe_ts, Fn&& fn,
-             Matches* scratch = nullptr) {
-    Matches local;
-    Matches& matches = scratch != nullptr ? *scratch : local;
-    matches.clear();
+             ProbeScratch* scratch = nullptr) {
+    ProbeScratch local;
+    ProbeScratch& s = scratch != nullptr ? *scratch : local;
+    s.matches.clear();
     const auto [binding_pos, index_pos] = IndexForBindings(bindings);
     if (index_pos >= 0) {
       const Value& key = bindings[static_cast<size_t>(binding_pos)].second;
       if (index_pos == 0) {
         // Binding on the shard key: entries with this value live in exactly
         // one shard (builds are placed by the same column).
-        ProbeShard(shards_[ShardOfValue(key)].get(), 0, &key, probe_ts,
-                   &matches);
+        ProbeShard(shards_[ShardOfValue(key)].get(), 0, &key, probe_ts, &s);
       } else {
         for (auto& shard : shards_) {
-          ProbeShard(shard.get(), index_pos, &key, probe_ts, &matches);
+          ProbeShard(shard.get(), index_pos, &key, probe_ts, &s);
         }
       }
     } else {
       for (auto& shard : shards_) {
-        ProbeShard(shard.get(), -1, nullptr, probe_ts, &matches);
+        ProbeShard(shard.get(), -1, nullptr, probe_ts, &s);
       }
     }
-    for (auto& [row, ts] : matches) fn(row, ts);
+    for (auto& [row, ts] : s.matches) fn(row, ts);
   }
 
-  int slot() const { return slot_; }
-  size_t num_shards() const { return shards_.size(); }
-  /// (resident, spilled) shard counts; sampled without a global lock.
-  std::pair<size_t, size_t> ShardResidency() const;
   uint64_t num_entries() const { return entries_.load(std::memory_order_relaxed); }
+  /// Adds every shard's partition residency and on-disk entries to `out`
+  /// (each shard locked in turn; no global lock).
+  void AddResidency(SpillSummary* out) const;
 
  private:
-  struct Entry {
-    RowRef row;
-    BuildTs ts;
-  };
-  /// Value -> entry ordinals, one map per indexed equi-join column.
-  using ColumnIndex =
-      std::unordered_map<Value, std::vector<uint32_t>, ValueHash>;
-
   /// Cache-line separated so two workers on adjacent shards never share.
-  /// All state is guarded by `mu` — the shard critical section of the §3.1
-  /// visibility contract — so an access outside it is a compile error
+  /// The storage is guarded by `mu` — the shard critical section of the
+  /// §3.1 visibility contract — so an access outside it is a compile error
   /// under -Wthread-safety.
   struct alignas(64) Shard {
+    explicit Shard(const std::string& table)
+        : storage(table, /*sim=*/nullptr, /*pooled=*/false) {}
     mutable Mutex mu;
-    std::vector<Entry> entries STEMS_GUARDED_BY(mu);
-    std::unordered_set<RowRef, RowRefContentHash, RowRefContentEq> dedup
-        STEMS_GUARDED_BY(mu);
-    /// Parallel to index_columns_.
-    std::vector<ColumnIndex> indexes STEMS_GUARDED_BY(mu);
-    /// false: indexes dropped, entries off-budget.
-    bool resident STEMS_GUARDED_BY(mu) = true;
+    StemStorage storage STEMS_GUARDED_BY(mu);
   };
 
   /// (position in `bindings`, position in `index_columns_`) of the best
@@ -184,19 +195,18 @@ class ShardedStem {
   size_t ShardOfRow(const Row& row) const;
 
   /// Probes one shard under its mutex (faulting it in first when spilled)
-  /// and appends the ts-filtered matches to `out`. Only the scan holds the
-  /// lock; RowRefs are copied out so `out` stays valid after unlock even
-  /// if a concurrent build reallocates the entry log.
+  /// and appends the ts-filtered matches to `scratch->matches`. Only the
+  /// scan holds the lock; RowRefs are copied out so the matches stay valid
+  /// after unlock even if a concurrent build reallocates the entries.
   void ProbeShard(Shard* shard, int idx, const Value* key, BuildTs probe_ts,
-                  Matches* out);
+                  ProbeScratch* scratch);
 
-  /// Rebuilds a spilled shard's indexes and re-charges the budget.
-  void FaultInLocked(Shard* shard) STEMS_REQUIRES(shard->mu);
-  /// Drops the indexes of the largest resident shard other than `except`
-  /// until the budget is met (or nothing is left to spill).
+  /// Charges one spill-path operation's I/O to the run counters.
+  void Account(const StemStorage::SpillResult& io);
+  /// Spills the largest resident shard other than `except` until the
+  /// budget is met (or nothing is left to spill).
   void EnforceBudget(const Shard* except);
 
-  const int slot_;
   /// sync: the query-global timestamp authority; fetch_add is issued inside
   /// the shard critical section (see Build), the shard mutex provides the
   /// ordering the §3.1 contract needs. stems::Atomic: a yield point under
@@ -204,6 +214,7 @@ class ShardedStem {
   Atomic<BuildTs>* const ts_counter_;
   ShardedSpillState* const spill_;
   /// Equi-join columns of this slot, ascending; the first is the shard key.
+  /// Every shard's storage indexes them in this order.
   std::vector<int> index_columns_;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// relaxed: monotone statistic (total inserted entries across shards);

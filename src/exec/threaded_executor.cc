@@ -28,7 +28,8 @@ namespace stems {
 namespace {
 
 /// Shards per SteM. Plenty for 64 workers' worth of lock spreading while
-/// keeping per-shard hash maps dense; also the spill-lite granularity.
+/// keeping per-shard hash maps dense; also the spill granularity (one
+/// partition per shard).
 constexpr size_t kShardsPerStem = 64;
 
 /// A contiguous row range of one table slot — what a worker claims, and
@@ -84,7 +85,7 @@ struct ThreadedRun::Worker {
   std::vector<int> candidates_scratch;
   std::vector<const Predicate*> decided_scratch;
   ProbeBindings bindings_scratch;
-  ShardedStem::Matches matches_scratch;
+  ShardedStem::ProbeScratch probe_scratch;
 };
 
 /// Everything one run needs, set up by Start before the run is published
@@ -149,20 +150,8 @@ ThreadedRun::~ThreadedRun() = default;
 
 ResultChannel& ThreadedRun::results() { return state_->channel; }
 
-uint64_t ThreadedRun::spill_ios() const {
-  return state_->spill.spill_ios.load(std::memory_order_relaxed);
-}
-
-uint64_t ThreadedRun::bytes_spilled() const {
-  return state_->spill.bytes_spilled.load(std::memory_order_relaxed);
-}
-
-size_t ThreadedRun::partitions_resident() const {
-  size_t resident = 0;
-  for (const auto& stem : state_->stems) {
-    resident += stem->ShardResidency().first;
-  }
-  return resident;
+SpillSummary ThreadedRun::SpillStats() const {
+  return state_->spill.Summarize(state_->stems);
 }
 
 bool ThreadedRun::TryBegin() {
@@ -355,7 +344,7 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
             stack.push_back(std::move(nt));
           }
         },
-        &ws->matches_scratch);
+        &ws->probe_scratch);
     ++ws->counters.probes;
     ws->counters.matches += matches;
     SlotProbeStats& history =
@@ -471,16 +460,9 @@ void ThreadPoolExecutor::Finalize(RunState* state) {
     out.violations = std::move(state->violations);
   }
   out.limit_reached = state->gate.limit_reached();
-  out.spill_ios = state->spill.spill_ios.load();
-  out.bytes_spilled = state->spill.bytes_spilled.load();
-  out.entries_spilled = state->spill.entries_spilled.load();
+  out.spill = state->spill.Summarize(state->stems);
   out.shard_lock_waits = state->spill.lock_waits.load();
   out.shard_lock_wait_ns = state->spill.lock_wait_ns.load();
-  for (const auto& stem : state->stems) {
-    const auto [resident, spilled] = stem->ShardResidency();
-    out.partitions_resident += resident;
-    out.partitions_spilled += spilled;
-  }
   out.wall_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - state->run_start)
@@ -502,8 +484,8 @@ void ThreadPoolExecutor::Finalize(RunState* state) {
         ->Add(out.shard_lock_wait_ns);
     registry->GetCounter("exec.result_backpressure_ns")
         ->Add(out.result_backpressure_ns);
-    registry->GetCounter("spill.ios")->Add(out.spill_ios);
-    registry->GetCounter("spill.bytes")->Add(out.bytes_spilled);
+    registry->GetCounter("spill.ios")->Add(out.spill.spill_ios);
+    registry->GetCounter("spill.bytes")->Add(out.spill.bytes_spilled);
     const bool stopped =
         state->gate.stop_requested() && !state->gate.limit_reached();
     if (!stopped) {
@@ -578,10 +560,10 @@ Result<std::shared_ptr<ThreadedRun>> ThreadPoolExecutor::Start(
   }
 
   if (options.spill || options.exec.eddy.spill.enabled) {
-    st.spill.budget_entries =
-        options.memory_budget_entries != 0
-            ? options.memory_budget_entries
-            : options.exec.eddy.memory.global_entry_budget;
+    st.spill.EnableSpill(options.memory_budget_entries != 0
+                             ? options.memory_budget_entries
+                             : options.exec.eddy.memory.global_entry_budget,
+                         options.exec.eddy.spill, obs.registry);
   }
   st.stems.reserve(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {

@@ -70,9 +70,7 @@ class ThreadedRun {
 
   /// Spill counters of the run's SteMs: live while the workers run, final
   /// once results().closed().
-  uint64_t spill_ios() const;
-  uint64_t bytes_spilled() const;
-  size_t partitions_resident() const;
+  SpillSummary SpillStats() const;
 
  private:
   friend class ThreadPoolExecutor;

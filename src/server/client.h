@@ -1,5 +1,5 @@
 // Client: the blocking library side of the stems wire protocol
-// (server/wire.h), used by the stems_cli example, bench_server and the
+// (server/wire.h), used by the stems_cli example, servebench and the
 // server test suite.
 //
 //   Client client;

@@ -1,9 +1,9 @@
 // Probe bindings: the equality bindings a probe carries into a SteM.
 //
-// One derivation for both executors' state stores — the sim's Stem (index
+// One derivation for both executors' SteMs — the sim's Stem (index
 // candidates, spill partition routing) and the threaded ShardedStem (shard
-// and index selection) — so they can never disagree about which stored
-// entries a probe may match through an index.
+// and index selection over its per-shard StemStorage) — so they can never
+// disagree about which stored entries a probe may match through an index.
 #pragma once
 
 #include <utility>

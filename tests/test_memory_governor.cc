@@ -154,7 +154,7 @@ TEST_P(MemoryGovernorBatchTest, SpillColdestKeepsJoinExact) {
   EXPECT_TRUE(duplicates.empty());
   EXPECT_EQ(keys, BruteForceResultSet(query_, db_.store));
   EXPECT_EQ(eddy->violations().size(), 0u);
-  const Eddy::SpillSummary spill = eddy->SpillStats();
+  const SpillSummary spill = eddy->SpillStats();
   EXPECT_GT(spill.spill_ios, 0u);
   EXPECT_GT(spill.bytes_spilled, 0u);
 }

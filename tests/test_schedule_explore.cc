@@ -1,6 +1,6 @@
 // Schedule-exploration harnesses: the model-checking scheduler
 // (src/check/) driving *real* engine components — ShardedStem's §3.1
-// visibility contract, the LimitGate admission race, spill-lite victim /
+// visibility contract, the LimitGate admission race, spill victim /
 // fault-in vs concurrent probes, the threaded executor's ResultChannel,
 // the server RequestQueue, and the TenantGovernor — over systematically
 // explored thread interleavings.
@@ -261,8 +261,11 @@ TEST(LimitGateCheck, ExactlyLimitAdmissionsUnderExploration) {
                          << result.failing_trace;
 }
 
-// --- spill-lite: victim selection / fault-in vs concurrent probes ------------
+// --- spill: victim selection / fault-in vs concurrent probes -----------------
 
+/// Drives the real spill path: each shard spills to its run file through
+/// the run-wide pool (taken inside the shard lock) and a probe faults it
+/// back in.
 struct SpillState {
   ShardedSpillState spill;
   Atomic<BuildTs> ts{1};
@@ -273,7 +276,8 @@ TestFactory SpillFactory() {
   return [] {
     const QuerySpec& query = JoinSpec();
     auto st = std::make_shared<SpillState>();
-    st->spill.budget_entries = 1;  // every second build spills a victim
+    st->spill.EnableSpill(/*budget_entries=*/1, SpillOptions{});
+    // Budget 1: every second build spills a victim.
     st->stem = std::make_unique<ShardedStem>(0, query, /*num_shards=*/2,
                                              &st->ts, &st->spill);
     TestCase tc;
@@ -307,7 +311,7 @@ TestFactory SpillFactory() {
 
 TEST(SpillCheck, NoEntryLostAcrossVictimAndFaultIn) {
   Explorer explorer(SmokeOptions(/*seed=*/23));
-  const auto result = explorer.Explore("spill_lite", SpillFactory());
+  const auto result = explorer.Explore("stem_spill", SpillFactory());
   EXPECT_TRUE(result.ok) << result.failure << "\ntrace: "
                          << result.failing_trace;
 }
@@ -664,6 +668,30 @@ TEST(GovernorCheck, AdmitOnCompletionSweepUnderExploration) {
 
 // --- deadlock detection ------------------------------------------------------
 
+/// A mutex that exists only in the scheduler's model: Lock and Unlock are
+/// the hook's lock and unlock points and nothing else. That is sound under
+/// the explorer: the scheduler serializes the threads, and MutexLockPoint
+/// returns only once the modeled mutex is free, so the real lock a
+/// stems::Mutex takes after it never contends. Being model-only, the
+/// deliberate AB-BA cycle below is invisible to ThreadSanitizer's
+/// lock-order detector, which would otherwise abort the whole suite.
+class ModelOnlyMutex {
+ public:
+  void Lock() { sched::ThreadHook()->MutexLockPoint(this); }
+  void Unlock() { sched::ThreadHook()->MutexUnlockPoint(this); }
+};
+
+class ModelOnlyLock {
+ public:
+  explicit ModelOnlyLock(ModelOnlyMutex* mu) : mu_(mu) { mu_->Lock(); }
+  ~ModelOnlyLock() { mu_->Unlock(); }
+  ModelOnlyLock(const ModelOnlyLock&) = delete;
+  ModelOnlyLock& operator=(const ModelOnlyLock&) = delete;
+
+ private:
+  ModelOnlyMutex* const mu_;
+};
+
 TEST(DeadlockCheck, AbBaLockCycleIsReportedWithWaitsFor) {
   Explorer::Options opts;
   opts.random_schedules = 0;
@@ -671,16 +699,16 @@ TEST(DeadlockCheck, AbBaLockCycleIsReportedWithWaitsFor) {
   opts.dfs_max_schedules = 200;  // 2 threads, 2 locks: tiny tree
   Explorer explorer(opts);
   const auto result = explorer.Explore("ab_ba_deadlock", [] {
-    auto a = std::make_shared<Mutex>();
-    auto b = std::make_shared<Mutex>();
+    auto a = std::make_shared<ModelOnlyMutex>();
+    auto b = std::make_shared<ModelOnlyMutex>();
     TestCase tc;
     tc.threads.push_back([a, b] {
-      MutexLock la(a.get());
-      MutexLock lb(b.get());
+      ModelOnlyLock la(a.get());
+      ModelOnlyLock lb(b.get());
     });
     tc.threads.push_back([a, b] {
-      MutexLock lb(b.get());
-      MutexLock la(a.get());
+      ModelOnlyLock lb(b.get());
+      ModelOnlyLock la(a.get());
     });
     tc.check = [] { return std::string(); };
     return tc;

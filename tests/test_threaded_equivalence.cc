@@ -22,6 +22,7 @@
 
 #include "eddy/policies/nary_shj_policy.h"
 #include "engine/engine.h"
+#include "exec/sharded_stem.h"
 #include "exec/threaded_executor.h"
 #include "tests/test_util.h"
 
@@ -227,9 +228,9 @@ TEST(ThreadedEquivalence, CrossProduct) {
 }
 
 TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
-  // The spill preset case the ISSUE calls out: a budget far below the
-  // build state forces the threaded executor's spill-lite path (shard
-  // index drops + probe fault-ins) — results must stay exact.
+  // The spill preset: a budget far below the build state forces the
+  // threaded executor's spill path (shards spilled to run files through the
+  // run-wide pool, faulted back in by probes) — results must stay exact.
   TestDb db;
   db.AddTable("R", IntSchema({"a", "b"}), RandomIntRows(14, 60, 2, 10),
               {ScanSpec("R.scan")});
@@ -251,9 +252,14 @@ TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
         EXPECT_EQ(run.keys, expected);
         EXPECT_TRUE(run.duplicates.empty());
         EXPECT_TRUE(run.outcome.violations.empty());
-        EXPECT_GT(run.outcome.spill_ios, 0u)
+        EXPECT_GT(run.outcome.spill.spill_ios, 0u)
             << "budget 32 over ~120 entries must spill";
-        EXPECT_GT(run.outcome.entries_spilled + run.outcome.spill_ios, 0u);
+        EXPECT_GT(
+            run.outcome.spill.entries_spilled + run.outcome.spill.spill_ios,
+            0u);
+        EXPECT_TRUE(run.outcome.spill.partitions_spilled > 0 ||
+                    run.outcome.spill.entries_spilled > 0)
+            << "budget 32 must leave shards on disk at completion";
       }
     }
   }
@@ -522,6 +528,75 @@ TEST(ThreadedEquivalence, RandomQueriesMatchBruteForce) {
     }
     ExpectEquivalence(std::move(qb).Build().ValueOrDie(), db);
   }
+}
+
+TEST(ShardedStemSpill, CleanRespillIsFreeAndSpilledBuildReturnsOnce) {
+  // Two shards, budget 1: building into the second shard spills the first
+  // to its run file, a build behind the spilled shard appends to that run,
+  // and a probe faults the shard back in.
+  TestDb db;
+  db.AddTable("R", IntSchema({"a", "b"}), {}, {ScanSpec("R.scan")});
+  db.AddTable("S", IntSchema({"x"}), {}, {ScanSpec("S.scan")});
+  QueryBuilder qb(db.catalog);
+  qb.AddTable("R").AddTable("S").AddJoin("R.a", "S.x");
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+
+  ShardedSpillState spill;
+  spill.EnableSpill(/*budget_entries=*/1, SpillOptions{});
+  Atomic<BuildTs> ts{1};
+  std::vector<std::unique_ptr<ShardedStem>> stems;
+  stems.push_back(std::make_unique<ShardedStem>(0, query, /*num_shards=*/2,
+                                                &ts, &spill));
+  ShardedStem& stem = *stems.front();
+  // Rows are placed by the shard-key hash: find a key in the other shard.
+  const int64_t key = 1;
+  int64_t other = 2;
+  while (Value::Int64(other).Hash() % 2 == Value::Int64(key).Hash() % 2) {
+    ++other;
+  }
+  auto build = [&](int64_t a, int64_t b) {
+    return stem.Build(MakeRow({Value::Int64(a), Value::Int64(b)}));
+  };
+  auto probe_key = [&]() {
+    std::multiset<int64_t> bs;
+    stem.Probe({{0, Value::Int64(key)}}, kTsInfinity,
+               [&](const RowRef& row, BuildTs) {
+                 bs.insert(row->value(1).AsInt64());
+               });
+    return bs;
+  };
+
+  ASSERT_TRUE(build(key, 10).inserted);
+  ASSERT_TRUE(build(other, 0).inserted);  // over budget: spills `key`'s shard
+  SpillSummary s = spill.Summarize(stems);
+  ASSERT_EQ(s.partitions_spilled, 1u);
+  EXPECT_EQ(s.entries_spilled, 1u);
+  EXPECT_GT(s.spill_ios, 0u) << "a dirty spill-out writes its run";
+
+  // Behind the spilled shard: a new row goes to the run, a duplicate is
+  // still absorbed (its dedup identity stays in memory).
+  ASSERT_TRUE(build(key, 11).inserted);
+  EXPECT_FALSE(build(key, 10).inserted);
+  EXPECT_EQ(spill.Summarize(stems).entries_spilled, 2u);
+
+  // The probe faults the shard in: the row built while it was spilled
+  // comes back exactly once, next to the one spilled with the shard.
+  EXPECT_EQ(probe_key(), (std::multiset<int64_t>{10, 11}));
+  EXPECT_EQ(spill.Summarize(stems).partitions_spilled, 0u);
+
+  // A build into the other shard re-spills the restored one. Nothing was
+  // built into it since the fault-in, so its retained run is still the
+  // truth: the spill-out costs no I/O.
+  const uint64_t ios_before = spill.Summarize(stems).spill_ios;
+  ASSERT_TRUE(build(other, 1).inserted);
+  s = spill.Summarize(stems);
+  ASSERT_EQ(s.partitions_spilled, 1u);
+  EXPECT_EQ(s.entries_spilled, 2u);
+  EXPECT_EQ(s.spill_ios, ios_before) << "clean re-spill must be free";
+
+  // And the second round trip loses and duplicates nothing either.
+  EXPECT_EQ(probe_key(), (std::multiset<int64_t>{10, 11}));
+  EXPECT_EQ(stem.num_entries(), 4u);
 }
 
 }  // namespace

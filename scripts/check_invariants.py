@@ -67,6 +67,22 @@ conventions:
                    back beside the threaded ShardedStem, with its own spill
                    semantics and its own I/O accounting.
 
+  counter-by-name  Per-query counters are declared once, in the table of
+                   src/obs/query_counters.h, and reach the registry only
+                   through PublishQueryCounters (src/obs/query_counters.cc).
+                   Outside those two files, no code under src/ or bench/
+                   may call GetCounter/GetGauge/GetHistogram("<name>") with
+                   a name they own (the table's registry names, plus
+                   engine.queries_completed and engine.query_wall_us):
+                   a hand-written publication list is how a second copy of
+                   the counters grows back and drifts from the table.
+                   Tests are exempt; they read the registry to check it.
+                   For every registry name the table owns, the checker
+                   also verifies that docs/observability.md's published-
+                   names table lists it, and that its suffix agrees with
+                   its unit column (`_ns`/`_us` wall, `_vus` virtual, no
+                   clock suffix on counts and bytes).
+
 Suppression (sparingly): a line, or the line above it, may carry
 `// invariant: allow(<rule>) -- <reason>`. The reason is mandatory.
 
@@ -123,6 +139,25 @@ POLICY_HOME_DIRS = ("src/eddy/policies/", "src/engine/")
 STEM_FORK_RE = re.compile(
     r"\bRowRefContentHash\b|\bunordered_map\s*<\s*(?:stems::)?Value\s*,")
 STEM_FORK_DIRS = ("src/exec/",)
+
+COUNTER_TABLE_H = "src/obs/query_counters.h"
+COUNTER_TABLE_CC = "src/obs/query_counters.cc"
+COUNTER_DOC = "docs/observability.md"
+COUNTER_DIRS = ("src/", "bench/")
+COUNTER_ENTRY_RE = re.compile(
+    r'\bX\(\s*(\w+),\s*(nullptr|"([^"]*)"),\s*(k\w+),\s*(true|false)\s*,')
+COUNTER_LITERAL_RE = re.compile(r'"([a-z_]+(?:\.[a-z_]+)+)"')
+COUNTER_BY_NAME_RE = re.compile(r'Get(?:Counter|Gauge|Histogram)\(\s*"([^"]+)"')
+# Unit column -> the suffix its registry name must carry (None: no clock
+# suffix at all).
+UNIT_SUFFIX = {
+    "kCount": None,
+    "kBytes": None,
+    "kWallNs": "_ns",
+    "kWallUs": "_us",
+    "kVirtualUs": "_vus",
+}
+CLOCK_SUFFIXES = ("_ns", "_us", "_vus")
 
 NET_THREAD_MARKER = "--- network thread"
 ENGINE_THREAD_MARKER = "--- engine thread"
@@ -248,6 +283,66 @@ def check_file(rel, lines, errors):
                 f"`// invariant: allow(schedulable-atomic) -- <reason>`")
 
 
+def load_counter_table(errors):
+    """Parses the counter table; returns the registry names it owns. Checks
+    each table name's unit suffix and its row in the published-names doc."""
+    header = (REPO_ROOT / COUNTER_TABLE_H).read_text(encoding="utf-8")
+    doc = (REPO_ROOT / COUNTER_DOC).read_text(encoding="utf-8")
+    section = doc.split("### Published names", 1)[-1].split("\n#", 1)[0]
+    documented = set(re.findall(r"^\|\s*`([^`]+)`", section, re.M))
+    owned = set()
+    entries = 0
+    for m in COUNTER_ENTRY_RE.finditer(header):
+        entries += 1
+        name, unit = m.group(3), m.group(4)
+        if name is None:
+            continue
+        owned.add(name)
+        lineno = header.count("\n", 0, m.start()) + 1
+        where = f"{COUNTER_TABLE_H}:{lineno}: [counter-by-name]"
+        if unit not in UNIT_SUFFIX:
+            errors.append(f"{where} {name}: unknown unit {unit}")
+        elif UNIT_SUFFIX[unit] is None:
+            if name.endswith(CLOCK_SUFFIXES):
+                errors.append(f"{where} {name} carries a clock suffix but "
+                              f"its unit is {unit}")
+        elif not name.endswith(UNIT_SUFFIX[unit]) or (
+                unit != "kVirtualUs" and name.endswith("_vus")):
+            errors.append(f"{where} {name}: unit {unit} needs the suffix "
+                          f"{UNIT_SUFFIX[unit]}")
+        if name not in documented:
+            errors.append(f"{where} {name} is missing from the "
+                          f"published-names table of {COUNTER_DOC}")
+    if entries == 0:
+        errors.append(f"{COUNTER_TABLE_H}:1: [counter-by-name] no "
+                      f"X(field, name, unit, rollup, help) entries parsed")
+    publish = (REPO_ROOT / COUNTER_TABLE_CC).read_text(encoding="utf-8")
+    for name in COUNTER_LITERAL_RE.findall(publish):
+        owned.add(name)
+        if name not in documented:
+            errors.append(f"{COUNTER_TABLE_CC}:1: [counter-by-name] {name} "
+                          f"is missing from the published-names table of "
+                          f"{COUNTER_DOC}")
+    return owned
+
+
+def check_counter_by_name(rel, lines, owned, errors):
+    if (not rel.startswith(COUNTER_DIRS)
+            or rel in (COUNTER_TABLE_H, COUNTER_TABLE_CC)):
+        return
+    text = "\n".join(lines)
+    for m in COUNTER_BY_NAME_RE.finditer(text):
+        i = text.count("\n", 0, m.start())
+        name = m.group(1)
+        if (name in owned and not is_comment(lines[i])
+                and not allowed(lines, i, "counter-by-name")):
+            errors.append(
+                f"{rel}:{i + 1}: [counter-by-name] registry lookup of "
+                f"\"{name}\", a per-query counter the table in "
+                f"{COUNTER_TABLE_H} owns; fill QueryCounters and let "
+                f"PublishQueryCounters publish it")
+
+
 def check_nodiscard(errors):
     status_h = REPO_ROOT / "src/common/status.h"
     text = status_h.read_text(encoding="utf-8")
@@ -263,6 +358,7 @@ def check_nodiscard(errors):
 def main():
     errors = []
     seen = set()
+    owned_counters = load_counter_table(errors)
     for pattern in SOURCE_GLOBS:
         for path in sorted(REPO_ROOT.glob(pattern)):
             rel = path.relative_to(REPO_ROOT).as_posix()
@@ -271,6 +367,7 @@ def main():
             seen.add(rel)
             lines = path.read_text(encoding="utf-8").splitlines()
             check_file(rel, lines, errors)
+            check_counter_by_name(rel, lines, owned_counters, errors)
     check_nodiscard(errors)
 
     if errors:

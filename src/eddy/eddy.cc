@@ -26,12 +26,9 @@ Eddy::Eddy(const QuerySpec& query, Simulation* sim, EddyOptions options)
       this, options_.constraint_mode, options_.max_routes_per_tuple);
   results_series_ = ctx_.metrics.SeriesHandle("results");
   prioritized_series_ = ctx_.metrics.SeriesHandle("results.prioritized");
-  ctx_.registry = options_.registry;
   ctx_.tracer = options_.tracer;
-  if (ctx_.registry != nullptr) {
-    reg_routed_ = ctx_.registry->GetCounter("eddy.tuples_routed");
-    reg_results_ = ctx_.registry->GetCounter("eddy.results");
-    reg_queue_hwm_ = ctx_.registry->GetGauge("eddy.route_queue_hwm");
+  if (options_.registry != nullptr) {
+    reg_queue_hwm_ = options_.registry->GetGauge("eddy.route_queue_hwm");
   }
 }
 
@@ -61,7 +58,7 @@ void Eddy::RegisterModule(std::unique_ptr<Module> module) {
       if (options_.spill.enabled && !stem->spill_enabled()) {
         if (buffer_pool_ == nullptr) {
           buffer_pool_ = std::make_unique<BufferPool>(options_.spill);
-          buffer_pool_->AttachRegistry(ctx_.registry);
+          buffer_pool_->AttachRegistry(options_.registry);
         }
         stem->EnableSpill(buffer_pool_.get(), options_.spill);
       }
@@ -192,7 +189,7 @@ size_t Eddy::DrainParked() {
     for (auto& [slot, tuples] : parked) {
       for (auto& t : tuples) {
         checker_->Check(*t, RouteDecision::Retire());
-        ++tuples_retired_;
+        ++counters_.tuples_retired;
         ++drained;
       }
     }
@@ -202,10 +199,10 @@ size_t Eddy::DrainParked() {
 
 void Eddy::Cancel() {
   cancelled_ = true;
-  tuples_retired_ += route_queue_.size();
+  counters_.tuples_retired += route_queue_.size();
   route_queue_.clear();
   for (auto& [slot, tuples] : parked_by_slot_) {
-    tuples_retired_ += tuples.size();
+    counters_.tuples_retired += tuples.size();
   }
   parked_by_slot_.clear();
   // Halt the scans: without this a cancelled query's sources keep
@@ -220,7 +217,7 @@ void Eddy::Cancel() {
 
 void Eddy::InjectTuple(TuplePtr tuple) {
   if (cancelled_) {
-    ++tuples_retired_;
+    ++counters_.tuples_retired;
     return;
   }
   route_queue_.push_back(std::move(tuple));
@@ -245,14 +242,14 @@ void Eddy::MaybeStartRouting() {
     ctx_.sim->Schedule(options_.routing_overhead,
                        [this, t = std::move(tuple)]() mutable {
                          // wall-clock: measures the real CPU cost of the
-                         // routing decision (routing_wall_ns_ is an
+                         // routing decision (counters_.routing_wall_ns is an
                          // observability counter, never simulation input).
                          const auto start = std::chrono::steady_clock::now();
                          RouteOne(std::move(t));
                          routing_busy_ = false;
                          MaybeStartRouting();
                          // wall-clock: closes the span opened above.
-                         routing_wall_ns_ += static_cast<uint64_t>(
+                         counters_.routing_wall_ns += static_cast<uint64_t>(
                              (std::chrono::steady_clock::now() - start)
                                  .count());
                        });
@@ -269,14 +266,13 @@ void Eddy::MaybeStartRouting() {
     routing_busy_ = false;
     MaybeStartRouting();
     // wall-clock: closes the span opened above.
-    routing_wall_ns_ += static_cast<uint64_t>(
+    counters_.routing_wall_ns += static_cast<uint64_t>(
         (std::chrono::steady_clock::now() - start).count());
   });
 }
 
 bool Eddy::PreRoute(TuplePtr& tuple) {
-  ++tuples_routed_;
-  if (reg_routed_ != nullptr) reg_routed_->Add();
+  ++counters_.tuples_routed;
   tuple->IncrementRouteCount();
 
   // BoundedRepetition backstop: a policy bug must not hang the simulation.
@@ -284,7 +280,7 @@ bool Eddy::PreRoute(TuplePtr& tuple) {
   if (tuple->route_count() > options_.max_routes_per_tuple) {
     STEMS_LOG(Error) << "BoundedRepetition exceeded for " << tuple->ToString();
     checker_->Check(*tuple, RouteDecision::Retire());
-    ++tuples_retired_;
+    ++counters_.tuples_retired;
     return false;
   }
 
@@ -311,11 +307,10 @@ void Eddy::AdmitResult(TuplePtr tuple) {
     // when a same-destination AcceptBatch cluster emitted several outputs
     // in one service event. The clamp sits before the push, so the bound
     // holds regardless of how many outputs share the step.
-    ++tuples_retired_;
+    ++counters_.tuples_retired;
     return;
   }
   results_series_->Increment(ctx_.sim->now());
-  if (reg_results_ != nullptr) reg_results_->Add();
   const bool prioritized = options_.result_priority_classifier
                                ? options_.result_priority_classifier(*tuple)
                                : tuple->prioritized();
@@ -338,7 +333,7 @@ void Eddy::RouteOne(TuplePtr tuple) {
   // A routing event scheduled before Cancel() may still fire; drop its
   // tuple instead of routing on.
   if (cancelled_) {
-    ++tuples_retired_;
+    ++counters_.tuples_retired;
     return;
   }
   if (!PreRoute(tuple)) return;
@@ -376,7 +371,7 @@ void Eddy::RouteOne(TuplePtr tuple) {
       parked_by_slot_[decision.park_slot].push_back(std::move(tuple));
       return;
     case RouteDecision::Kind::kRetire:
-      ++tuples_retired_;
+      ++counters_.tuples_retired;
       return;
   }
 }
@@ -430,7 +425,7 @@ void Eddy::RouteBatchFromQueue() {
   if (cancelled_) {
     // LIMIT (or cancel) fired while collecting the batch: the tuples
     // already popped retire instead of routing into a halted dataflow.
-    tuples_retired_ += pending_scratch_.size();
+    counters_.tuples_retired += pending_scratch_.size();
     pending_scratch_.clear();
     policy_batch_.clear();
     return;
@@ -487,9 +482,9 @@ void Eddy::RouteBatchFromQueue() {
       // LIMIT/cancel tripped mid-dispatch: the rest of the batch (and the
       // undelivered cluster) must not enter the halted dataflow — retire
       // it, mirroring the phase-1 guard (clamp inside the batch path).
-      tuples_retired_ += cluster_scratch_.size();
+      counters_.tuples_retired += cluster_scratch_.size();
       cluster_scratch_.clear();
-      tuples_retired_ += pending_scratch_.size() - dispatched;
+      counters_.tuples_retired += pending_scratch_.size() - dispatched;
       break;
     }
     ++dispatched;
@@ -541,7 +536,7 @@ void Eddy::RouteBatchFromQueue() {
         parked_by_slot_[decision.park_slot].push_back(std::move(tuple));
         break;
       case RouteDecision::Kind::kRetire:
-        ++tuples_retired_;
+        ++counters_.tuples_retired;
         break;
     }
   }
@@ -616,6 +611,17 @@ SpillSummary Eddy::SpillStats() const {
     out.pool_evictions = buffer_pool_->stats().evictions;
   }
   return out;
+}
+
+obs::QueryCounters Eddy::Counters() const {
+  obs::QueryCounters c = counters_;
+  c.num_results = results_.size();
+  for (const auto& module : modules_) {
+    if (module->kind() == ModuleKind::kStem) {
+      c += static_cast<const Stem*>(module.get())->counters();
+    }
+  }
+  return c;
 }
 
 size_t Eddy::parked_count() const {

@@ -21,6 +21,7 @@
 #include "eddy/constraints.h"
 #include "eddy/memory_governor.h"
 #include "eddy/routing_policy.h"
+#include "obs/query_counters.h"
 #include "query/join_graph.h"
 #include "runtime/query_context.h"
 #include "sm/selection_module.h"
@@ -33,7 +34,6 @@ namespace stems {
 class BufferPool;
 
 namespace obs {
-class Counter;
 class Gauge;
 }  // namespace obs
 
@@ -71,10 +71,11 @@ struct EddyOptions {
   /// every output tuple (priority *flags* only propagate through the
   /// generating side's probes, so metrics use the ground-truth predicate).
   std::function<bool(const Tuple&)> result_priority_classifier;
-  /// Observability (src/obs/): the engine-wide metric registry this query
-  /// publishes into, and the per-query trace-span sink. Both nullable —
-  /// detached eddies (unit tests, planner-level callers) run dark, and
-  /// every instrumentation site branches on a cached pointer.
+  /// Observability (src/obs/): the engine-wide metric registry for live
+  /// metrics (route-queue gauge, buffer-pool counters; the query's counters
+  /// are published at its end, from Counters()), and the per-query trace-span
+  /// sink. Both nullable — detached eddies (unit tests, planner-level
+  /// callers) run dark.
   obs::MetricsRegistry* registry = nullptr;
   obs::Tracer* tracer = nullptr;
 };
@@ -135,16 +136,8 @@ class Eddy {
 
   const std::vector<TuplePtr>& results() const { return results_; }
   uint64_t num_results() const { return results_.size(); }
-  uint64_t tuples_retired() const { return tuples_retired_; }
-  uint64_t tuples_routed() const { return tuples_routed_; }
+  uint64_t tuples_routed() const { return counters_.tuples_routed; }
   size_t parked_count() const;
-
-  /// Wall-clock nanoseconds spent inside routing steps (policy
-  /// consultation, constraint audit, dispatch, and scheduling the next
-  /// step). tuples_routed() / routing_wall_ns() is the router's real
-  /// per-tuple cost — the quantity the batched dataflow amortizes; module
-  /// service work and source pacing are excluded.
-  uint64_t routing_wall_ns() const { return routing_wall_ns_; }
 
   const std::vector<ConstraintViolation>& violations() const {
     return checker_->violations();
@@ -155,6 +148,11 @@ class Eddy {
 
   /// Spill counters across this query's SteMs and its buffer pool.
   SpillSummary SpillStats() const;
+
+  /// The query's totals so far: its routing counters plus its SteMs'.
+  /// tuples_routed / routing_wall_ns is the router's real per-tuple cost
+  /// (policy, audit, dispatch), the quantity batching amortizes.
+  obs::QueryCounters Counters() const;
 
   /// The query-wide spill buffer pool; nullptr when spill is disabled.
   const BufferPool* buffer_pool() const { return buffer_pool_.get(); }
@@ -280,19 +278,17 @@ class Eddy {
   CounterSeries* results_series_ = nullptr;
   CounterSeries* prioritized_series_ = nullptr;
 
-  /// Engine-wide registry handles (null when no registry is attached; each
-  /// publication site is one branch + one relaxed atomic add).
-  obs::Counter* reg_routed_ = nullptr;
-  obs::Counter* reg_results_ = nullptr;
+  /// Engine-wide routing-queue high-water gauge (null when no registry is
+  /// attached). The query's counters reach the registry once, at its end
+  /// (PublishQueryCounters).
   obs::Gauge* reg_queue_hwm_ = nullptr;
 
   /// Prior probers waiting for their completion table's SteM to change.
   std::map<int, std::vector<TuplePtr>> parked_by_slot_;
 
   std::vector<TuplePtr> results_;
-  uint64_t tuples_retired_ = 0;
-  uint64_t tuples_routed_ = 0;
-  uint64_t routing_wall_ns_ = 0;
+  /// Routing counters (tuples_routed, tuples_retired, routing_wall_ns).
+  obs::QueryCounters counters_;
 };
 
 }  // namespace stems

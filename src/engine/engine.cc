@@ -115,9 +115,8 @@ void Engine::MarkFinished(internal::QueryExecution* exec) {
           std::chrono::steady_clock::now() - exec->submitted_wall)
           .count());
   if (exec->registry != nullptr) {
-    exec->registry->GetCounter("engine.queries_completed")->Add();
-    exec->registry->GetHistogram("engine.query_wall_us")
-        ->Observe(exec->wall_us);
+    obs::PublishQueryCounters(*exec->registry, exec->eddy->Counters(),
+                              /*completed=*/true, exec->wall_us);
   }
 }
 

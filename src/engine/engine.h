@@ -50,6 +50,7 @@
 #include "exec/executor.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
+#include "obs/query_counters.h"
 #include "obs/trace.h"
 #include "query/query_spec.h"
 #include "sql/binder.h"
@@ -65,15 +66,10 @@ class ThreadedRun;
 class ThreadPoolExecutor;
 
 /// Execution statistics of one submitted query (snapshot; final once
-/// QueryHandle::done()).
-struct QueryStats {
-  uint64_t num_results = 0;
-  uint64_t tuples_routed = 0;
-  uint64_t tuples_retired = 0;
-  /// Wall-clock nanoseconds spent in the eddy's routing steps (policy +
-  /// audit + dispatch); tuples_routed / this is the router's real
-  /// throughput, the hot path RunOptions::batch_size amortizes.
-  uint64_t routing_wall_ns = 0;
+/// QueryHandle::done()). The scalar counters — num_results, tuples_routed,
+/// routing_wall_ns, builds, probes, spill_ios, ... — are the query's
+/// QueryCounters (src/obs/query_counters.h, one table for every surface).
+struct QueryStats : obs::QueryCounters {
   size_t constraint_violations = 0;
   size_t parked = 0;
 
@@ -81,9 +77,6 @@ struct QueryStats {
   /// SteMs of this query that attached to storage another query had
   /// already populated.
   size_t stems_shared = 0;
-  /// Builds whose physical insert (row, index postings, spilled copy) was
-  /// skipped because a concurrent query had already stored the row.
-  uint64_t builds_avoided = 0;
   /// Virtual time at which the engine *observed* completion; kSimTimeNever
   /// while running, and always for threaded queries (they have no virtual
   /// clock). With several interleaved queries this can lag the query's
@@ -96,15 +89,12 @@ struct QueryStats {
   // --- execution substrate (RunOptions::executor, docs/parallelism.md) ------
   /// "sim" or "threaded".
   std::string executor = "sim";
-  /// Per-worker accumulators of a threaded run, in worker-id order (the
-  /// scalar fields above are their merge); empty for sim runs.
-  std::vector<WorkerCounters> worker_counters;
+  /// Per-worker counters of a threaded run, in worker-id order (the
+  /// counters above are their merge, plus the run-wide spill and
+  /// shard-lock totals); empty for sim runs.
+  std::vector<obs::QueryCounters> worker_counters;
 
-  // --- spill subsystem (all zero when RunOptions::spill is off) -------------
-  /// Simulated disk page reads + writes by the spill run files.
-  uint64_t spill_ios = 0;
-  /// Bytes ever appended to spill run files.
-  uint64_t bytes_spilled = 0;
+  // --- spill state (all zero when RunOptions::spill is off) -----------------
   /// Live entries currently on disk.
   uint64_t entries_spilled = 0;
   /// SteM hash partitions currently resident / spilled (summed over SteMs).

@@ -179,51 +179,51 @@ void QueryHandle::Cancel() {
     // only discards the buffered results the cursors have not consumed.)
     exec_->completed_at = exec_->engine->sim_.now();
     exec_->eddy->Cancel();
+    // A stopped query publishes the work it did, but is no completion.
+    if (exec_->registry != nullptr) {
+      obs::PublishQueryCounters(*exec_->registry, exec_->eddy->Counters(),
+                                /*completed=*/false, 0);
+    }
   }
 }
 
 QueryStats QueryHandle::Stats() const {
   QueryStats stats;
+  obs::QueryCounters& counters = stats;
   stats.policy = exec_->policy_name;
   stats.cancelled = exec_->cancelled;
+  const SpillSummary spill = SpillStatsOf(*exec_);
   if (exec_->threaded != nullptr) {
     stats.executor = "threaded";
     // completed_at stays kSimTimeNever: a threaded run has no virtual clock.
     const std::optional<ExecOutcome> outcome =
         exec_->threaded->results().summary();
     if (outcome.has_value()) {
-      stats.num_results = outcome->totals.results;
-      stats.tuples_routed = outcome->totals.tuples_routed;
-      stats.tuples_retired = outcome->totals.tuples_retired;
-      stats.routing_wall_ns = outcome->totals.routing_wall_ns;
+      counters = outcome->totals;
       stats.constraint_violations = outcome->violations.size();
       stats.worker_counters = outcome->workers;
     } else {
-      // Still running: the rows seen so far; the routing counters are
-      // worker-private until completion.
+      // Still running: the rows seen so far and the live spill I/O; the
+      // routing counters are worker-private until completion.
       stats.num_results = exec_->next_result + exec_->threaded_rows.size() -
                           exec_->threaded_head;
+      stats.spill_ios = spill.spill_ios;
+      stats.bytes_spilled = spill.bytes_spilled;
     }
   } else {
     const Eddy& eddy = *exec_->eddy;
     stats.executor = "sim";
-    stats.num_results = eddy.num_results();
-    stats.tuples_routed = eddy.tuples_routed();
-    stats.tuples_retired = eddy.tuples_retired();
-    stats.routing_wall_ns = eddy.routing_wall_ns();
+    counters = eddy.Counters();
     stats.constraint_violations = eddy.violations().size();
     stats.parked = eddy.parked_count();
     stats.completed_at = exec_->completed_at;
     for (const auto& module : eddy.modules()) {
       if (module->kind() != ModuleKind::kStem) continue;
-      const auto* stem = static_cast<const Stem*>(module.get());
-      stats.builds_avoided += stem->builds_avoided();
-      if (stem->attached_shared()) ++stats.stems_shared;
+      if (static_cast<const Stem*>(module.get())->attached_shared()) {
+        ++stats.stems_shared;
+      }
     }
   }
-  const SpillSummary spill = SpillStatsOf(*exec_);
-  stats.spill_ios = spill.spill_ios;
-  stats.bytes_spilled = spill.bytes_spilled;
   stats.entries_spilled = spill.entries_spilled;
   stats.partitions_resident = spill.partitions_resident;
   stats.partitions_spilled = spill.partitions_spilled;
@@ -235,13 +235,8 @@ obs::QueryProfile QueryHandle::Profile() const {
   const QueryStats stats = Stats();
   p.executor = stats.executor;
   p.policy = stats.policy;
-  p.num_results = stats.num_results;
-  p.tuples_routed = stats.tuples_routed;
-  p.tuples_retired = stats.tuples_retired;
-  p.routing_wall_ns = stats.routing_wall_ns;
+  p.totals = stats;
   p.wall_us = exec_->wall_us;
-  p.spill_ios = stats.spill_ios;
-  p.bytes_spilled = stats.bytes_spilled;
   if (stats.completed_at != kSimTimeNever) {
     p.virtual_time_us = static_cast<uint64_t>(stats.completed_at);
   }
@@ -255,18 +250,18 @@ obs::QueryProfile QueryHandle::Profile() const {
     if (!outcome.has_value()) return p;
     p.wall_us = outcome->wall_us;
     for (size_t w = 0; w < outcome->workers.size(); ++w) {
-      const WorkerCounters& c = outcome->workers[w];
+      const obs::QueryCounters& c = outcome->workers[w];
       obs::ModuleProfileRow row;
       row.name = "worker" + std::to_string(w);
       row.kind = "worker";
       row.tuples_in = c.tuples_routed;
-      row.tuples_out = c.results;
+      row.tuples_out = c.num_results;
       row.builds = c.builds;
       row.probes = c.probes;
       row.matches = c.matches;
       row.busy_vus = c.routing_wall_ns / 1000;
       if (c.tuples_routed > 0) {
-        row.observed_selectivity = static_cast<double>(c.results) /
+        row.observed_selectivity = static_cast<double>(c.num_results) /
                                    static_cast<double>(c.tuples_routed);
       }
       p.modules.push_back(std::move(row));

@@ -23,13 +23,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/query_counters.h"
 #include "runtime/tuple.h"
 #include "spill/spill_summary.h"
 
 namespace stems {
 
 namespace obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
@@ -44,35 +44,6 @@ struct ExecObs {
 /// Which execution substrate Engine::Submit puts the query on.
 enum class ExecutorKind { kSim, kThreaded };
 
-/// One worker's routing accumulators (threaded executor). Workers never
-/// share counters on the hot path — each owns one of these, and readers
-/// merge the vector (QueryStats aggregates them; the per-worker breakdown
-/// is kept for observability).
-struct WorkerCounters {
-  uint64_t morsels = 0;         ///< TupleBatch work units processed
-  uint64_t tuples_routed = 0;   ///< routing decisions made
-  uint64_t tuples_retired = 0;  ///< tuples dropped from the dataflow
-  uint64_t builds = 0;          ///< SteM inserts performed
-  uint64_t duplicates = 0;      ///< builds absorbed by set-semantics dedup
-  uint64_t probes = 0;          ///< SteM probes performed
-  uint64_t matches = 0;         ///< concatenations emitted by probes
-  uint64_t results = 0;         ///< output tuples this worker admitted
-  uint64_t routing_wall_ns = 0;  ///< wall time inside morsel processing
-
-  WorkerCounters& operator+=(const WorkerCounters& o) {
-    morsels += o.morsels;
-    tuples_routed += o.tuples_routed;
-    tuples_retired += o.tuples_retired;
-    builds += o.builds;
-    duplicates += o.duplicates;
-    probes += o.probes;
-    matches += o.matches;
-    results += o.results;
-    routing_wall_ns += o.routing_wall_ns;
-    return *this;
-  }
-};
-
 /// Everything a threaded run reports about itself once complete: the
 /// summary its ResultChannel publishes at close (with `results` empty —
 /// the rows streamed through the channel), or ThreadPoolExecutor::Execute's
@@ -83,22 +54,17 @@ struct ExecOutcome {
   /// (empty on every correct execution; the equivalence gate compares this
   /// against the sim run's audit).
   std::vector<std::string> violations;
-  /// Per-worker accumulators, merged on read.
-  std::vector<WorkerCounters> workers;
-  /// Aggregate of `workers` (merged when the run completes).
-  WorkerCounters totals;
+  /// Per-worker accumulators. Workers never share counters on the hot
+  /// path: each owns one QueryCounters, merged when the run completes.
+  std::vector<obs::QueryCounters> workers;
+  /// The run's totals: the merge of `workers`, plus the run-wide spill and
+  /// shard-lock counters.
+  obs::QueryCounters totals;
   /// Spill counters of the sharded state, in the sim's shape
   /// (Eddy::SpillStats).
   SpillSummary spill;
-  /// Shard-mutex contention: blocked hot-path acquisitions and the wall
-  /// time they spent waiting.
-  uint64_t shard_lock_waits = 0;
-  uint64_t shard_lock_wait_ns = 0;
   /// True when the run stopped early because the query's LIMIT filled.
   bool limit_reached = false;
-  /// Wall time the workers spent stalled on a full result channel (summed
-  /// over workers): the consumer's backpressure.
-  uint64_t result_backpressure_ns = 0;
   /// Wall-clock microseconds from ThreadPoolExecutor::Start to completion.
   uint64_t wall_us = 0;
 };

@@ -16,7 +16,6 @@
 #include "engine/run_options.h"
 #include "exec/limit_gate.h"
 #include "exec/sharded_stem.h"
-#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "query/join_graph.h"
 #include "query/query_spec.h"
@@ -73,12 +72,10 @@ Result<std::unique_ptr<PolicyBase>> CreateWorkerPolicy(
 }  // namespace
 
 struct ThreadedRun::Worker {
-  WorkerCounters counters;
+  obs::QueryCounters counters;
   /// Results admitted during the current morsel, flushed to the channel at
   /// its end.
   std::vector<TuplePtr> results;
-  /// Wall time this worker spent stalled on a full result channel.
-  uint64_t stall_ns = 0;
   std::unique_ptr<PolicyBase> policy;
   WorkerProbeStats probe_stats;
   std::vector<TuplePtr> cascade_stack;
@@ -281,7 +278,7 @@ void ThreadPoolExecutor::AdmitResult(RunState* state, WorkerState* ws,
   }
   if (state->gate.TryAdmit().admitted) {
     ws->results.push_back(std::move(tuple));
-    ++ws->counters.results;
+    ++ws->counters.num_results;
   } else {
     ++ws->counters.tuples_retired;
   }
@@ -415,7 +412,7 @@ void ThreadPoolExecutor::WorkerMain(RunState* state, int worker_id) {
             .count());
     // The morsel's results go out now, outside every shard lock: a full
     // channel stalls this worker, never a SteM.
-    ws.stall_ns += state->channel.Push(&ws.results);
+    ws.counters.result_backpressure_ns += state->channel.Push(&ws.results);
     // Morsel boundary = preemption point. The query's consumer (a cursor,
     // or the server's engine and network threads and its client) shares
     // these cores; yielding here lets it run now rather than after a full
@@ -442,7 +439,8 @@ void ThreadPoolExecutor::WorkerMain(RunState* state, int worker_id) {
       tracer->Record(std::move(ev));
     }
   }
-  if (state->channel.FinishProducer(&ws.results, &ws.stall_ns)) {
+  if (state->channel.FinishProducer(&ws.results,
+                                    &ws.counters.result_backpressure_ns)) {
     Finalize(state);
   }
 }
@@ -453,7 +451,6 @@ void ThreadPoolExecutor::Finalize(RunState* state) {
   for (const auto& padded : state->workers) {
     out.totals += padded.ws.counters;
     out.workers.push_back(padded.ws.counters);
-    out.result_backpressure_ns += padded.ws.stall_ns;
   }
   {
     MutexLock lock(&state->violations_mu);
@@ -461,37 +458,22 @@ void ThreadPoolExecutor::Finalize(RunState* state) {
   }
   out.limit_reached = state->gate.limit_reached();
   out.spill = state->spill.Summarize(state->stems);
-  out.shard_lock_waits = state->spill.lock_waits.load();
-  out.shard_lock_wait_ns = state->spill.lock_wait_ns.load();
+  out.totals.spill_ios = out.spill.spill_ios;
+  out.totals.bytes_spilled = out.spill.bytes_spilled;
+  out.totals.shard_lock_waits = state->spill.lock_waits.load();
+  out.totals.shard_lock_wait_ns = state->spill.lock_wait_ns.load();
   out.wall_us = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - state->run_start)
           .count());
 
-  // Publish run totals into the engine-wide registry once, at completion —
-  // workers never touch shared metric state on the hot path. A stopped run
-  // (cancel, dropped handle) publishes its work but is not a completion,
-  // as on the sim executor.
+  // Publish the run's totals once, at completion — workers never touch
+  // shared metric state on the hot path. A stopped run (cancel, dropped
+  // handle) publishes its work but is not a completion, as on the sim.
   if (obs::MetricsRegistry* registry = state->obs.registry) {
-    registry->GetCounter("exec.morsels")->Add(out.totals.morsels);
-    registry->GetCounter("eddy.tuples_routed")->Add(out.totals.tuples_routed);
-    registry->GetCounter("eddy.results")->Add(out.totals.results);
-    registry->GetCounter("stem.builds")->Add(out.totals.builds);
-    registry->GetCounter("stem.probes")->Add(out.totals.probes);
-    registry->GetCounter("stem.matches")->Add(out.totals.matches);
-    registry->GetCounter("exec.shard_lock_waits")->Add(out.shard_lock_waits);
-    registry->GetCounter("exec.shard_lock_wait_ns")
-        ->Add(out.shard_lock_wait_ns);
-    registry->GetCounter("exec.result_backpressure_ns")
-        ->Add(out.result_backpressure_ns);
-    registry->GetCounter("spill.ios")->Add(out.spill.spill_ios);
-    registry->GetCounter("spill.bytes")->Add(out.spill.bytes_spilled);
     const bool stopped =
         state->gate.stop_requested() && !state->gate.limit_reached();
-    if (!stopped) {
-      registry->GetCounter("engine.queries_completed")->Add();
-      registry->GetHistogram("engine.query_wall_us")->Observe(out.wall_us);
-    }
+    obs::PublishQueryCounters(*registry, out.totals, !stopped, out.wall_us);
   }
   state->channel.Close(std::move(out));
 }

@@ -75,15 +75,15 @@ std::string QueryProfile::ToTable() const {
   std::snprintf(buf, sizeof(buf),
                 "executor=%s policy=%s results=%" PRIu64 " routed=%" PRIu64
                 " retired=%" PRIu64 "\n",
-                executor.c_str(), policy.c_str(), num_results, tuples_routed,
-                tuples_retired);
+                executor.c_str(), policy.c_str(), totals.num_results,
+                totals.tuples_routed, totals.tuples_retired);
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "virtual_time_us=%" PRIu64 " wall_us=%" PRIu64
                 " routing_wall_ns=%" PRIu64 " spill_ios=%" PRIu64
                 " bytes_spilled=%" PRIu64 "\n",
-                virtual_time_us, wall_us, routing_wall_ns, spill_ios,
-                bytes_spilled);
+                virtual_time_us, wall_us, totals.routing_wall_ns,
+                totals.spill_ios, totals.bytes_spilled);
   out += buf;
   return out;
 }

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/query_counters.h"
+
 namespace stems::obs {
 
 struct ModuleProfileRow {
@@ -41,14 +43,9 @@ struct ModuleProfileRow {
 struct QueryProfile {
   std::string executor;  ///< "sim" or "threaded"
   std::string policy;
-  uint64_t num_results = 0;
-  uint64_t tuples_routed = 0;
-  uint64_t tuples_retired = 0;
-  uint64_t routing_wall_ns = 0;  ///< wall time inside routing steps
+  QueryCounters totals;          ///< the whole query's counters
   uint64_t virtual_time_us = 0;  ///< sim-clock completion time (sim only)
   uint64_t wall_us = 0;          ///< wall-clock submit-to-finish time
-  uint64_t spill_ios = 0;
-  uint64_t bytes_spilled = 0;
   std::vector<ModuleProfileRow> modules;
 
   /// Fixed-width text table (the EXPLAIN ANALYZE output): one header, one

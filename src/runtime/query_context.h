@@ -9,7 +9,6 @@
 namespace stems {
 
 namespace obs {
-class MetricsRegistry;
 class Tracer;
 }  // namespace obs
 
@@ -20,9 +19,6 @@ struct QueryContext {
   Simulation* sim = nullptr;
   TimestampAuthority ts;
   MetricsRecorder metrics;
-  /// Engine-wide metric registry (nullable: tests and detached eddies run
-  /// without one; instrumentation sites branch on the cached pointer).
-  obs::MetricsRegistry* registry = nullptr;
   /// Per-query trace-span sink; null when tracing is disabled
   /// (RunOptions::trace_every_n == 0) — the one-branch disabled path.
   obs::Tracer* tracer = nullptr;

@@ -1116,10 +1116,10 @@ void Server::MaybeLogSlowQuery(const QueryRec& rec) {
       std::to_string(wall_ms) + " threshold_ms=" +
       std::to_string(options_.slow_query_ms) + " executor=" +
       profile.executor + " policy=" + profile.policy + " results=" +
-      std::to_string(profile.num_results) + " tuples_routed=" +
-      std::to_string(profile.tuples_routed) + " spill_ios=" +
-      std::to_string(profile.spill_ios) + " bytes_spilled=" +
-      std::to_string(profile.bytes_spilled) + " modules=" +
+      std::to_string(profile.totals.num_results) + " tuples_routed=" +
+      std::to_string(profile.totals.tuples_routed) + " spill_ios=" +
+      std::to_string(profile.totals.spill_ios) + " bytes_spilled=" +
+      std::to_string(profile.totals.bytes_spilled) + " modules=" +
       std::to_string(profile.modules.size());
   if (options_.slow_query_log) {
     options_.slow_query_log(line);

@@ -5,7 +5,7 @@
 namespace stems::server {
 
 std::vector<std::pair<std::string, uint64_t>> TenantRollup::Counters() const {
-  return {
+  std::vector<std::pair<std::string, uint64_t>> out = {
       {"queries_submitted", queries_submitted},
       {"queries_admitted", queries_admitted},
       {"queries_queued", queries_queued},
@@ -13,18 +13,18 @@ std::vector<std::pair<std::string, uint64_t>> TenantRollup::Counters() const {
       {"queries_completed", queries_completed},
       {"queries_cancelled", queries_cancelled},
       {"queries_failed", queries_failed},
-      {"num_results", num_results},
-      {"tuples_routed", tuples_routed},
-      {"tuples_retired", tuples_retired},
-      {"spill_ios", spill_ios},
-      {"bytes_spilled", bytes_spilled},
-      {"builds_avoided", builds_avoided},
-      {"running_queries", running_queries},
-      {"queued_queries", queued_queries},
-      {"memory_entries_in_use", memory_entries_in_use},
-      {"queue_high_water", queue_high_water},
-      {"queued_time_ms", queued_time_ms},
   };
+  for (const obs::QueryCounterInfo& c : obs::kQueryCounterTable) {
+    if (c.tenant_rollup) out.emplace_back(c.field, this->*c.member);
+  }
+  out.insert(out.end(), {
+                            {"running_queries", running_queries},
+                            {"queued_queries", queued_queries},
+                            {"memory_entries_in_use", memory_entries_in_use},
+                            {"queue_high_water", queue_high_water},
+                            {"queued_time_ms", queued_time_ms},
+                        });
+  return out;
 }
 
 Status TenantGovernor::RegisterTenant(const std::string& name,
@@ -224,12 +224,7 @@ void TenantGovernor::OnQueryFinished(const std::string& tenant,
   ++rollup.queries_completed;
   if (stats.cancelled) ++rollup.queries_cancelled;
   if (!error.ok()) ++rollup.queries_failed;
-  rollup.num_results += stats.num_results;
-  rollup.tuples_routed += stats.tuples_routed;
-  rollup.tuples_retired += stats.tuples_retired;
-  rollup.spill_ios += stats.spill_ios;
-  rollup.bytes_spilled += stats.bytes_spilled;
-  rollup.builds_avoided += stats.builds_avoided;
+  static_cast<obs::QueryCounters&>(rollup) += stats;
 }
 
 void TenantGovernor::OnSpillProgress(const std::string& tenant,

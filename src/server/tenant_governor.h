@@ -63,9 +63,10 @@ struct TenantQuota {
   uint32_t reject_retry_after_ms = 100;
 };
 
-/// Cumulative per-tenant accounting: admission counters plus the rollup of
-/// every finished query's QueryStats.
-struct TenantRollup {
+/// Cumulative per-tenant accounting: admission counters plus the sum of
+/// every finished query's counters (the base; its `tenant_rollup` entries
+/// are the ones served).
+struct TenantRollup : obs::QueryCounters {
   uint64_t queries_submitted = 0;
   uint64_t queries_admitted = 0;
   uint64_t queries_queued = 0;
@@ -73,13 +74,6 @@ struct TenantRollup {
   uint64_t queries_completed = 0;
   uint64_t queries_cancelled = 0;
   uint64_t queries_failed = 0;
-  // Summed QueryStats of finished queries.
-  uint64_t num_results = 0;
-  uint64_t tuples_routed = 0;
-  uint64_t tuples_retired = 0;
-  uint64_t spill_ios = 0;
-  uint64_t bytes_spilled = 0;
-  uint64_t builds_avoided = 0;
   // Live state (running right now).
   uint64_t running_queries = 0;
   uint64_t queued_queries = 0;
@@ -92,7 +86,8 @@ struct TenantRollup {
   uint64_t queued_time_ms = 0;
 
   /// The rollup as ordered (name, value) counters — the Stats wire frame's
-  /// payload.
+  /// payload: the admission counters, the rolled-up query counters in
+  /// table order, then the live and queue state.
   std::vector<std::pair<std::string, uint64_t>> Counters() const;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/metrics_registry.h"
 #include "spill/spill_file.h"
 #include "spill/spill_options.h"
 
@@ -88,11 +87,6 @@ Stem::Stem(QueryContext* ctx, std::string table_name, StemOptions options,
   evictions_series_ = ctx_->metrics.SeriesHandle(name() + ".evictions");
   spill_out_series_ = ctx_->metrics.SeriesHandle(name() + ".spill.out");
   spill_in_series_ = ctx_->metrics.SeriesHandle(name() + ".spill.in");
-  if (ctx_->registry != nullptr) {
-    reg_builds_ = ctx_->registry->GetCounter("stem.builds");
-    reg_probes_ = ctx_->registry->GetCounter("stem.probes");
-    reg_matches_ = ctx_->registry->GetCounter("stem.matches");
-  }
 }
 
 CounterSeries* Stem::SpanSeries(uint64_t mask) {
@@ -125,8 +119,8 @@ void Stem::EnableSpill(BufferPool* pool, const SpillOptions& options) {
 }
 
 void Stem::AccrueIoCharge(const StemStorage::SpillResult& io) {
-  attr_spill_ios_ += io.ios;
-  attr_bytes_spilled_ += io.bytes;
+  counters_.spill_ios += io.ios;
+  counters_.bytes_spilled += io.bytes;
   const SimTime cost = io.cost;
   if (cost <= 0) return;
   const uint64_t id = next_io_accrual_id_++;
@@ -186,8 +180,8 @@ void Stem::AttributeRestore(const StemStorage::SpillResult& in,
   } else {
     // The asynchronous read's virtual time was the fault event's delay;
     // only the counters are still owed.
-    attr_spill_ios_ += in.ios;
-    attr_bytes_spilled_ += in.bytes;
+    counters_.spill_ios += in.ios;
+    counters_.bytes_spilled += in.bytes;
   }
   if (in.entries > 0) {
     spill_in_series_->Increment(sim()->now(),
@@ -293,14 +287,13 @@ void Stem::ProcessBuild(TuplePtr tuple) {
   // here — it must still probe on this query's behalf.
   const bool pooled = storage_->pooled();
   if (pooled ? query_ts_.count(row) > 0 : storage_->Contains(row)) {
-    ++duplicates_absorbed_;
+    ++counters_.duplicates;
     dups_series_->Increment(sim()->now());
     return;
   }
 
   const BuildTs ts = ctx_->ts.Issue();
-  ++builds_;
-  if (reg_builds_ != nullptr) reg_builds_->Add();
+  ++counters_.builds;
   if (ts > max_entry_ts_) max_entry_ts_ = ts;
   if (pooled) query_ts_.emplace(row, ts);
 
@@ -308,7 +301,7 @@ void Stem::ProcessBuild(TuplePtr tuple) {
     // Cross-query shared hit: the row (and its index postings, and any
     // spilled copy) is already stored. Only the per-query visibility entry
     // above was needed — the physical build work is avoided entirely.
-    ++builds_avoided_;
+    ++counters_.builds_avoided;
   } else {
     // Pooled entries store the insertion sequence (timestamps live in each
     // query's overlay); private entries store the query's own timestamp.
@@ -568,8 +561,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   const BuildTs probe_ts = tuple->Timestamp();
   const BuildTs last_match_ts = tuple->last_match_ts();
   const bool pooled = storage_->pooled();
-  ++probes_processed_;
-  if (reg_probes_ != nullptr) reg_probes_->Add();
+  ++counters_.probes;
   uint32_t matches_this_probe = 0;
 
   const auto& entries = storage_->entries();
@@ -606,8 +598,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
     if (!pass) continue;
     TuplePtr concat = tuple->ConcatWith(target_slot, entry.row, entry_ts);
     for (const Predicate* p : preds) concat->MarkPredicatePassed(p->id());
-    ++matches_emitted_;
-    if (reg_matches_ != nullptr) reg_matches_->Add();
+    ++counters_.matches;
     ++matches_this_probe;
     // Partial-result accounting (online metric, §1.2/§3.4): intermediate
     // spans are the partial results FFF surfaces to users.

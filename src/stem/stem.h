@@ -45,6 +45,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/query_counters.h"
 #include "runtime/module.h"
 #include "runtime/query_context.h"
 #include "stem/eot_store.h"
@@ -53,11 +54,6 @@
 #include "stem/stem_storage.h"
 
 namespace stems {
-
-namespace obs {
-class Counter;
-}  // namespace obs
-
 
 class BufferPool;
 struct SpillOptions;
@@ -126,11 +122,13 @@ class Stem : public Module {
   /// re-probe gating. Always per-query, also on pooled storage.
   BuildTs max_entry_ts() const { return max_entry_ts_; }
 
-  uint64_t duplicates_absorbed() const { return duplicates_absorbed_; }
+  uint64_t duplicates_absorbed() const { return counters_.duplicates; }
   uint64_t probes_bounced() const { return probes_bounced_; }
-  uint64_t probes_processed() const { return probes_processed_; }
-  uint64_t matches_emitted() const { return matches_emitted_; }
-  uint64_t builds() const { return builds_; }
+  uint64_t probes_processed() const { return counters_.probes; }
+  uint64_t matches_emitted() const { return counters_.matches; }
+  uint64_t builds() const { return counters_.builds; }
+  /// This SteM's share of the query's counters.
+  const obs::QueryCounters& counters() const { return counters_; }
   uint64_t evictions() const { return evictions_; }
 
   // --- cross-query sharing (engine StemManager, docs/sharing.md) ------------
@@ -143,7 +141,7 @@ class Stem : public Module {
   void MarkAttachedShared() { attached_shared_ = true; }
   /// Builds whose row was already physically stored by another query: the
   /// insert, index and (if spilled) run-file work this query skipped.
-  uint64_t builds_avoided() const { return builds_avoided_; }
+  uint64_t builds_avoided() const { return counters_.builds_avoided; }
   /// Storage insertion sequence at attach time — the query's epoch
   /// boundary, for observability and diagnostics: entries at or below it
   /// predate the query. Visibility itself is *enforced* by the per-query
@@ -196,8 +194,8 @@ class Stem : public Module {
   /// fault-ins, governor spills it triggered): simulated page reads +
   /// writes, and bytes appended. On a private SteM this equals the run
   /// file's lifetime totals.
-  uint64_t spill_ios() const { return attr_spill_ios_; }
-  uint64_t bytes_spilled() const { return attr_bytes_spilled_; }
+  uint64_t spill_ios() const { return counters_.spill_ios; }
+  uint64_t bytes_spilled() const { return counters_.bytes_spilled; }
   /// Partitions faulted back into memory (storage-wide).
   uint64_t spill_faults() const { return storage_->spill_faults(); }
   /// Probes deferred because their partition was spilled (kBounce policy).
@@ -326,11 +324,6 @@ class Stem : public Module {
 
   /// Hot-path metrics: series handles resolved once (the per-match
   /// "span.<mask>" key used to be rebuilt per emitted concatenation).
-  /// Engine-wide registry handles (null when no registry is attached).
-  obs::Counter* reg_builds_ = nullptr;
-  obs::Counter* reg_probes_ = nullptr;
-  obs::Counter* reg_matches_ = nullptr;
-
   CounterSeries* dups_series_ = nullptr;
   CounterSeries* bounces_series_ = nullptr;
   CounterSeries* evictions_series_ = nullptr;
@@ -339,16 +332,12 @@ class Stem : public Module {
   std::vector<std::pair<uint64_t, CounterSeries*>> span_series_;
   CounterSeries* SpanSeries(uint64_t mask);
 
-  uint64_t duplicates_absorbed_ = 0;
+  /// builds, duplicates, probes, matches, builds_avoided, and the spill
+  /// I/O attributed to this query (spill_ios(), bytes_spilled()).
+  obs::QueryCounters counters_;
   uint64_t probes_bounced_ = 0;
-  uint64_t probes_processed_ = 0;
-  uint64_t matches_emitted_ = 0;
-  uint64_t builds_ = 0;
-  uint64_t builds_avoided_ = 0;
   uint64_t evictions_ = 0;
   uint64_t probes_deferred_ = 0;
-  uint64_t attr_spill_ios_ = 0;
-  uint64_t attr_bytes_spilled_ = 0;
   uint64_t attach_watermark_ = 0;
   bool attached_shared_ = false;
 };

@@ -1,6 +1,7 @@
 // Observability layer: the thread-safe metrics registry, per-query trace
 // spans and their Chrome trace JSON export, EXPLAIN ANALYZE profiles, the
-// QueryStats field-count canary, and the server's metrics exposition
+// one counter table behind QueryStats and the registry, and the server's
+// metrics exposition
 // (Metrics wire frame, Stats frame additions, slow-query log).
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "engine/engine.h"
 #include "obs/metrics_registry.h"
 #include "obs/profile.h"
+#include "obs/query_counters.h"
 #include "obs/trace.h"
 #include "runtime/metrics.h"
 #include "server/client.h"
@@ -252,9 +254,9 @@ TEST_F(ObsEngineTest, ExplainAnalyzeGoldenProfile) {
   const obs::QueryProfile profile = handle.Value().Profile();
 
   EXPECT_EQ(profile.executor, "sim");
-  EXPECT_EQ(profile.num_results, 3u);
-  EXPECT_GT(profile.tuples_routed, 0u);
-  EXPECT_GT(profile.spill_ios, 0u) << "budget of 4 entries must spill";
+  EXPECT_EQ(profile.totals.num_results, 3u);
+  EXPECT_GT(profile.totals.tuples_routed, 0u);
+  EXPECT_GT(profile.totals.spill_ios, 0u) << "budget of 4 entries must spill";
 
   // Per-module rows: the selection must show its *observed* selectivity
   // (2 of 3 users pass age >= 30) against the uninformed 0.5 prior, and
@@ -379,29 +381,132 @@ TEST_F(ObsEngineTest, PublishMetricsOffKeepsRegistryQuiet) {
             0u);
 }
 
-// --- QueryStats canary -------------------------------------------------------
+// --- one counter table, every surface ----------------------------------------
 
-// Compile-time field-count canary: the structured binding below names
-// every QueryStats field. Adding a field to QueryStats breaks this
-// binding, forcing the author to ALSO extend the observability surfaces
-// fed from it — TenantRollup/Counters() (the Stats wire frame),
-// QueryHandle::Profile(), and the golden name list asserted below.
-TEST(QueryStatsCanaryTest, FieldCountMatchesObservabilitySurfaces) {
-  QueryStats stats;
-  auto& [num_results, tuples_routed, tuples_retired, routing_wall_ns,
-         constraint_violations, parked, stems_shared, builds_avoided,
-         completed_at, policy, cancelled, executor, worker_counters,
-         spill_ios, bytes_spilled, entries_spilled, partitions_resident,
-         partitions_spilled] = stats;
-  (void)num_results; (void)tuples_routed; (void)tuples_retired;
-  (void)routing_wall_ns; (void)constraint_violations; (void)parked;
-  (void)stems_shared; (void)builds_avoided; (void)completed_at;
-  (void)policy; (void)cancelled; (void)executor; (void)worker_counters;
-  (void)spill_ios; (void)bytes_spilled; (void)entries_spilled;
-  (void)partitions_resident; (void)partitions_spilled;
+// Engine over R(a, b) ⋈ S(x, y), 2000 rows each on 500 keys: with a
+// LargerThanMemory budget of 128 entries both executors spill.
+class CounterTableTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    std::vector<std::vector<int64_t>> r, s;
+    for (int64_t i = 0; i < 2000; ++i) {
+      r.push_back({i % 500, i});
+      s.push_back({(i * 7) % 500, i});
+    }
+    ASSERT_TRUE(engine_
+                    .AddTable(TableDef{"R", IntSchema({"a", "b"}),
+                                       {ScanSpec("R.scan")}},
+                              IntRows(r))
+                    .ok());
+    ASSERT_TRUE(engine_
+                    .AddTable(TableDef{"S", IntSchema({"x", "y"}),
+                                       {ScanSpec("S.scan")}},
+                              IntRows(s))
+                    .ok());
+  }
 
-  // Golden counter-name list of the Stats wire frame payload. A QueryStats
-  // field surfaced per tenant must appear here; update deliberately.
+  /// Runs `n` spilling joins to completion; returns their summed counters
+  /// and the workers' sum.
+  void RunQueries(const RunOptions& options, int n, obs::QueryCounters* sum,
+                  obs::QueryCounters* workers) {
+    for (int q = 0; q < n; ++q) {
+      auto handle = engine_.Query(std::string(kSql) + std::to_string(q * 50),
+                                  options);
+      ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+      handle.Value().Wait();
+      const QueryStats stats = handle.Value().Stats();
+      ASSERT_GT(stats.num_results, 0u);
+      ASSERT_GT(stats.spill_ios, 0u) << "budget 128 must spill";
+      *sum += stats;
+      for (const obs::QueryCounters& w : stats.worker_counters) *workers += w;
+    }
+  }
+
+  uint64_t Registry(const char* name) {
+    return engine_.metrics_registry().GetCounter(name)->value();
+  }
+
+  /// Every table entry with a registry name reads the summed Stats().
+  void ExpectRegistryMatches(const obs::QueryCounters& sum) {
+    for (const obs::QueryCounterInfo& c : obs::kQueryCounterTable) {
+      if (c.registry_name == nullptr) continue;
+      EXPECT_EQ(Registry(c.registry_name), sum.*c.member)
+          << c.registry_name << " vs QueryStats::" << c.field;
+    }
+  }
+
+  static constexpr const char* kSql =
+      "SELECT R.a, S.y FROM R, S WHERE R.a = S.x AND R.b >= ";
+
+  Engine engine_;
+};
+
+TEST_F(CounterTableTest, SimRegistryAgreesWithStats) {
+  obs::QueryCounters sum, workers;
+  RunQueries(RunOptions::LargerThanMemory(128), 3, &sum, &workers);
+  ExpectRegistryMatches(sum);
+  EXPECT_GT(Registry("spill.ios"), 0u);
+  EXPECT_GT(Registry("spill.bytes"), 0u);
+  EXPECT_GT(Registry("stem.probes"), 0u);
+  EXPECT_EQ(Registry("engine.queries_completed"), 3u);
+  EXPECT_EQ(engine_.metrics_registry().GetHistogram("engine.query_wall_us")
+                ->count(),
+            3u);
+}
+
+TEST_F(CounterTableTest, ThreadedRegistryAgreesWithStats) {
+  RunOptions options = RunOptions::LargerThanMemory(128);
+  options.executor = ExecutorKind::kThreaded;
+  options.num_threads = 2;
+  obs::QueryCounters sum, workers;
+  RunQueries(options, 3, &sum, &workers);
+  ExpectRegistryMatches(sum);
+  // Worker-only entries are the merge of the per-worker counters.
+  EXPECT_EQ(Registry("exec.morsels"), workers.morsels);
+  EXPECT_GT(workers.morsels, 0u);
+  EXPECT_EQ(Registry("eddy.tuples_routed"), workers.tuples_routed);
+  EXPECT_EQ(Registry("stem.builds"), workers.builds);
+  EXPECT_EQ(Registry("spill.ios"), sum.spill_ios);
+  EXPECT_GT(Registry("spill.ios"), 0u);
+  EXPECT_EQ(Registry("engine.queries_completed"), 3u);
+}
+
+TEST_F(CounterTableTest, SimCancelAfterCompletionIsNotCountedTwice) {
+  auto handle = engine_.Query(std::string(kSql) + "0",
+                              RunOptions::LargerThanMemory(128));
+  ASSERT_TRUE(handle.ok());
+  handle.Value().Wait();
+  handle.Value().Cancel();
+  const QueryStats stats = handle.Value().Stats();
+  EXPECT_EQ(Registry("engine.queries_completed"), 1u);
+  EXPECT_EQ(Registry("eddy.tuples_routed"), stats.tuples_routed);
+  EXPECT_EQ(Registry("spill.ios"), stats.spill_ios);
+}
+
+TEST_F(CounterTableTest, SimCancelMidRunPublishesWorkButNoCompletion) {
+  auto handle = engine_.Query(std::string(kSql) + "0",
+                              RunOptions::LargerThanMemory(128));
+  ASSERT_TRUE(handle.ok());
+  ResultCursor cursor = handle.Value().cursor();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(cursor.Next().has_value());
+  ASSERT_FALSE(handle.Value().done());
+  handle.Value().Cancel();
+  const QueryStats stats = handle.Value().Stats();
+  EXPECT_GT(stats.tuples_routed, 0u);
+  obs::QueryCounters sum;
+  sum += stats;
+  ExpectRegistryMatches(sum);
+  EXPECT_EQ(Registry("engine.queries_completed"), 0u)
+      << "a stopped query is not a completion";
+  EXPECT_EQ(engine_.metrics_registry().GetHistogram("engine.query_wall_us")
+                ->count(),
+            0u);
+}
+
+// The Stats wire frame's payload is the wire contract.
+TEST(TenantRollupTest, StatsFrameCounterNames) {
+  // Golden counter-name list of the Stats wire frame payload. A counter
+  // the table rolls up per tenant must appear here; update deliberately.
   server::TenantRollup rollup;
   std::vector<std::string> names;
   for (const auto& [name, value] : rollup.Counters()) names.push_back(name);

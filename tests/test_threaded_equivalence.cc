@@ -6,7 +6,8 @@
 // registered routing policy × batch size {8, 64} × threads {1, 2, 4} —
 // with the brute-force evaluator as the independent anchor, and requires
 // both substrates to finish with clean audit verdicts (zero violations).
-// It also covers the LargerThanMemory spill preset, exact LIMIT clamping
+// It also covers the served chain-join shape (a prepared statement streamed
+// one row at a time), the LargerThanMemory spill preset, exact LIMIT clamping
 // under concurrent admission, the Engine/SQL integration, the
 // unsupported-combination errors, and that threaded workers run the
 // registered policy itself (custom policies, PolicyParams).
@@ -14,6 +15,7 @@
 #include <atomic>
 #include <functional>
 #include <optional>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -381,8 +383,8 @@ TEST(ThreadedEquivalence, EngineSubmitAndStats) {
   EXPECT_EQ(stats.worker_counters.size(), 2u);
   uint64_t worker_results = 0;
   uint64_t worker_routed = 0;
-  for (const WorkerCounters& wc : stats.worker_counters) {
-    worker_results += wc.results;
+  for (const obs::QueryCounters& wc : stats.worker_counters) {
+    worker_results += wc.num_results;
     worker_routed += wc.tuples_routed;
   }
   EXPECT_EQ(worker_results, stats.num_results);
@@ -451,6 +453,85 @@ TEST(ThreadedEquivalence, InterleavedNextAcrossBatchSizes) {
     EXPECT_TRUE(handles[q].done());
     EXPECT_EQ(handles[q].Stats().num_results, expected.size());
     EXPECT_EQ(cursors[q].consumed(), expected.size());
+  }
+}
+
+TEST(ThreadedEquivalence, PreparedChainJoinStreamsExactly) {
+  // The served `threaded` workload's shape, scaled down: A(id,k,v) ⋈
+  // B(id,k,j) ⋈ C(id,j,w) with balanced keys (each key on two rows of
+  // every join column), so C probes B through B.j, which is not B's shard
+  // key; a prepared `a.id >= $min` bound three ways; Threaded(2); a
+  // streamed cursor read one row at a time. The key values are picked so
+  // that each of the 64 shards of a threaded SteM holds exactly three.
+  constexpr size_t kShards = 64;  // ThreadPoolExecutor's shards per SteM
+  constexpr size_t kKeysPerShard = 3;
+  constexpr int64_t kRowsPerKey = 2;
+  std::vector<int64_t> key_values;
+  std::vector<size_t> keys_per_shard(kShards, 0);
+  for (int64_t k = 0; key_values.size() < kShards * kKeysPerShard; ++k) {
+    size_t& n = keys_per_shard[Value::Int64(k).Hash() % kShards];
+    if (n < kKeysPerShard) {
+      ++n;
+      key_values.push_back(k);
+    }
+  }
+  const int64_t num_rows =
+      static_cast<int64_t>(key_values.size()) * kRowsPerKey;
+
+  std::mt19937_64 rng(7);
+  auto balanced_keys = [&] {
+    std::vector<int64_t> keys;
+    for (int64_t k : key_values) keys.insert(keys.end(), kRowsPerKey, k);
+    std::shuffle(keys.begin(), keys.end(), rng);
+    return keys;
+  };
+  const std::vector<int64_t> ak = balanced_keys(), bk = balanced_keys(),
+                             bj = balanced_keys(), cj = balanced_keys();
+  std::vector<std::vector<int64_t>> a, b, c;
+  for (int64_t i = 0; i < num_rows; ++i) {
+    a.push_back({i, ak[i], i % 100});
+    b.push_back({i, bk[i], bj[i]});
+    c.push_back({i, cj[i], i % 1000});
+  }
+  Engine engine;
+  const std::pair<const char*, std::vector<std::string>> defs[] = {
+      {"A", {"id", "k", "v"}}, {"B", {"id", "k", "j"}}, {"C", {"id", "j", "w"}}};
+  const std::vector<std::vector<int64_t>>* rows[] = {&a, &b, &c};
+  for (size_t t = 0; t < 3; ++t) {
+    const std::string name = defs[t].first;
+    ASSERT_TRUE(engine
+                    .AddTable(TableDef{name, IntSchema(defs[t].second),
+                                       {ScanSpec(name + ".scan")}},
+                              IntRows(*rows[t]))
+                    .ok());
+  }
+  auto prepared = engine.Prepare(
+      "SELECT a.v, b.id, c.w FROM A a, B b, C c "
+      "WHERE a.k = b.k AND b.j = c.j AND a.id >= $min");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+
+  for (int64_t min : {num_rows / 10, num_rows * 2 / 5, num_rows * 2 / 3}) {
+    SCOPED_TRACE("$min = " + std::to_string(min));
+    const BoundQuery bound = prepared.Value().Bind(
+        sql::SqlParams().Set("min", Value::Int64(min)));
+    ASSERT_TRUE(bound.status().ok()) << bound.status().ToString();
+    const std::set<std::string> expected =
+        BruteForceResultSet(bound.spec(), engine.store());
+    ASSERT_EQ(expected.size(), static_cast<size_t>((num_rows - min) *
+                                                   kRowsPerKey * kRowsPerKey));
+
+    auto handle = bound.Submit(RunOptions::Threaded(2));
+    ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+    ResultCursor cursor = handle.Value().cursor();
+    std::vector<TuplePtr> streamed;
+    while (std::optional<TuplePtr> t = cursor.Next()) {
+      streamed.push_back(std::move(*t));
+    }
+    std::vector<std::string> duplicates;
+    EXPECT_EQ(KeysOf(streamed, &duplicates), expected);
+    EXPECT_TRUE(duplicates.empty()) << duplicates.size() << " duplicates";
+    EXPECT_TRUE(handle.Value().done());
+    EXPECT_EQ(handle.Value().Stats().constraint_violations, 0u);
   }
 }
 

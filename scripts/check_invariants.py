@@ -67,6 +67,17 @@ conventions:
                    back beside the threaded ShardedStem, with its own spill
                    semantics and its own I/O accounting.
 
+  stem-storage-clock-free
+                   StemStorage (src/stem/stem_storage.{h,cc}) is the one
+                   SteM storage of both executors, and the threaded shards
+                   have no simulation clock. Those two files may not
+                   include sim/simulation.h, name Simulation or call
+                   Schedule(: a spill operation runs synchronously and
+                   returns its I/O to the caller, which bills it on its
+                   own clock. An event the storage put on the sim clock is
+                   how a sim-only deferral path grows back into the
+                   storage the threads share.
+
   counter-by-name  Per-query counters are declared once, in the table of
                    src/obs/query_counters.h, and reach the registry only
                    through PublishQueryCounters (src/obs/query_counters.cc).
@@ -139,6 +150,10 @@ POLICY_HOME_DIRS = ("src/eddy/policies/", "src/engine/")
 STEM_FORK_RE = re.compile(
     r"\bRowRefContentHash\b|\bunordered_map\s*<\s*(?:stems::)?Value\s*,")
 STEM_FORK_DIRS = ("src/exec/",)
+
+CLOCK_FREE_FILES = ("src/stem/stem_storage.h", "src/stem/stem_storage.cc")
+CLOCK_FREE_RE = re.compile(
+    r'\bSimulation\b|\bSchedule\s*\(|"sim/simulation\.h"')
 
 COUNTER_TABLE_H = "src/obs/query_counters.h"
 COUNTER_TABLE_CC = "src/obs/query_counters.cc"
@@ -269,6 +284,16 @@ def check_file(rel, lines, errors):
                 f"value-keyed column index in src/exec/; SteM state lives "
                 f"in src/stem/ (StemStorage) — hold a StemStorage instead "
                 f"of forking one")
+
+        # stem-storage-clock-free ---------------------------------------
+        if (rel in CLOCK_FREE_FILES and not is_comment(line)
+                and CLOCK_FREE_RE.search(line)
+                and not allowed(lines, i, "stem-storage-clock-free")):
+            errors.append(
+                f"{rel}:{lineno}: [stem-storage-clock-free] simulation "
+                f"clock in StemStorage; the storage both executors share "
+                f"schedules no events — run the operation synchronously "
+                f"and let the caller bill its I/O")
 
         # schedulable-atomic --------------------------------------------
         if (rel.startswith(("src/exec/", "src/server/"))

@@ -599,8 +599,6 @@ SpillSummary Eddy::SpillStats() const {
     if (module->kind() != ModuleKind::kStem) continue;
     const auto* stem = static_cast<const Stem*>(module.get());
     if (!stem->spill_enabled()) continue;
-    out.spill_ios += stem->spill_ios();
-    out.bytes_spilled += stem->bytes_spilled();
     out.entries_spilled += stem->entries_spilled();
     out.partitions_resident += stem->partitions_resident();
     out.partitions_spilled += stem->partitions_spilled();

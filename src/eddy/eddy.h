@@ -146,7 +146,8 @@ class Eddy {
   /// The §6 global memory governor (budget configured via EddyOptions).
   const MemoryGovernor& memory_governor() const { return memory_governor_; }
 
-  /// Spill counters across this query's SteMs and its buffer pool.
+  /// Spill state across this query's SteMs and its buffer pool (the spill
+  /// I/O is in Counters()).
   SpillSummary SpillStats() const;
 
   /// The query's totals so far: its routing counters plus its SteMs'.

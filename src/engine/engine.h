@@ -126,6 +126,10 @@ struct QueryExecution {
   bool finished = false;
   bool cancelled = false;
   SimTime completed_at = kSimTimeNever;
+  /// Sim: the counters Cancel published for a query it stopped. Stats()
+  /// reports these from then on: module events already on the shared clock
+  /// still run, but their work is not the query's any more.
+  std::optional<obs::QueryCounters> stopped_counters;
   /// Per-query trace sink (RunOptions::trace_every_n > 0); shared so the
   /// handle can export after the engine pruned the execution's eddy.
   std::shared_ptr<obs::Tracer> tracer;
@@ -459,10 +463,8 @@ class Engine {
 
   Catalog catalog_;
   TableStore store_;
-  /// Declared before sim_ (so destroyed after it): pooled SteM storages
-  /// can be kept alive past their queries by in-flight fault-in events on
-  /// the clock, and their spill files write through stem_pool_'s buffer
-  /// pools.
+  /// Declared before the queries (so destroyed after them): pooled SteM
+  /// storages write their spill files through stem_pool_'s buffer pools.
   StemManager stem_pool_;
   Simulation sim_;
   /// Engine-wide metric registry (handles are pointer-stable; queries,

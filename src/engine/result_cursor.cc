@@ -17,12 +17,28 @@ std::vector<TuplePtr>* UnreadBuffer(internal::QueryExecution* exec) {
   return &rows;
 }
 
-/// The query's spill counters, from either executor. Threaded runs answer
-/// from their live counters (final once the channel closes), so a spilling
-/// query's I/O is visible while it streams.
+/// The query's spill state, from either executor (live while it runs).
 SpillSummary SpillStatsOf(const internal::QueryExecution& exec) {
   if (exec.threaded != nullptr) return exec.threaded->SpillStats();
   return exec.eddy->SpillStats();
+}
+
+/// The query's counters, from either executor: final once it completed or
+/// was cancelled, live while it runs. A running threaded query has only the
+/// rows seen so far and its spill I/O (so a spilling query's I/O is visible
+/// while it streams); the routing counters are worker-private until
+/// completion.
+obs::QueryCounters CountersOf(const internal::QueryExecution& exec) {
+  if (exec.threaded == nullptr) {
+    if (exec.stopped_counters.has_value()) return *exec.stopped_counters;
+    return exec.eddy->Counters();
+  }
+  const std::optional<ExecOutcome> outcome = exec.threaded->results().summary();
+  if (outcome.has_value()) return outcome->totals;
+  obs::QueryCounters live = exec.threaded->LiveSpillIo();
+  live.num_results =
+      exec.next_result + exec.threaded_rows.size() - exec.threaded_head;
+  return live;
 }
 
 }  // namespace
@@ -141,11 +157,11 @@ std::string RowView::ToString() const {
 }
 
 uint64_t ResultCursor::spill_ios() const {
-  return SpillStatsOf(*exec_).spill_ios;
+  return CountersOf(*exec_).spill_ios;
 }
 
 uint64_t ResultCursor::bytes_spilled() const {
-  return SpillStatsOf(*exec_).bytes_spilled;
+  return CountersOf(*exec_).bytes_spilled;
 }
 
 size_t ResultCursor::partitions_resident() const {
@@ -180,8 +196,9 @@ void QueryHandle::Cancel() {
     exec_->completed_at = exec_->engine->sim_.now();
     exec_->eddy->Cancel();
     // A stopped query publishes the work it did, but is no completion.
+    exec_->stopped_counters = exec_->eddy->Counters();
     if (exec_->registry != nullptr) {
-      obs::PublishQueryCounters(*exec_->registry, exec_->eddy->Counters(),
+      obs::PublishQueryCounters(*exec_->registry, *exec_->stopped_counters,
                                 /*completed=*/false, 0);
     }
   }
@@ -189,7 +206,7 @@ void QueryHandle::Cancel() {
 
 QueryStats QueryHandle::Stats() const {
   QueryStats stats;
-  obs::QueryCounters& counters = stats;
+  static_cast<obs::QueryCounters&>(stats) = CountersOf(*exec_);
   stats.policy = exec_->policy_name;
   stats.cancelled = exec_->cancelled;
   const SpillSummary spill = SpillStatsOf(*exec_);
@@ -199,21 +216,12 @@ QueryStats QueryHandle::Stats() const {
     const std::optional<ExecOutcome> outcome =
         exec_->threaded->results().summary();
     if (outcome.has_value()) {
-      counters = outcome->totals;
       stats.constraint_violations = outcome->violations.size();
       stats.worker_counters = outcome->workers;
-    } else {
-      // Still running: the rows seen so far and the live spill I/O; the
-      // routing counters are worker-private until completion.
-      stats.num_results = exec_->next_result + exec_->threaded_rows.size() -
-                          exec_->threaded_head;
-      stats.spill_ios = spill.spill_ios;
-      stats.bytes_spilled = spill.bytes_spilled;
     }
   } else {
     const Eddy& eddy = *exec_->eddy;
     stats.executor = "sim";
-    counters = eddy.Counters();
     stats.constraint_violations = eddy.violations().size();
     stats.parked = eddy.parked_count();
     stats.completed_at = exec_->completed_at;

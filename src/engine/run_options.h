@@ -44,12 +44,11 @@ struct RunOptions {
   /// Spill-aware state storage (§6 + §3.1, src/spill/): under memory
   /// pressure the governor moves cold SteM hash partitions to simulated
   /// partitioned run files behind a shared buffer pool instead of evicting
-  /// them, and probes fault them back in (or are deferred behind the
-  /// asynchronous read — see SpillOptions::probe_policy). Switches the
-  /// governor's victim policy to kSpillColdest (unless
-  /// exec.eddy.memory.victim_policy was explicitly set to an eviction
-  /// policy); exact results, priced through the disk latency models in
-  /// exec.eddy.spill.
+  /// them, and a probe into a spilled partition faults it back in first
+  /// (paying the simulated read I/O). Switches the governor's victim
+  /// policy to kSpillColdest (unless exec.eddy.memory.victim_policy was
+  /// explicitly set to an eviction policy); exact results, priced through
+  /// the disk latency models in exec.eddy.spill.
   bool spill = false;
 
   /// Cross-query state sharing (paper §5, docs/sharing.md): SteMs attach

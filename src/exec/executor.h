@@ -60,7 +60,7 @@ struct ExecOutcome {
   /// The run's totals: the merge of `workers`, plus the run-wide spill and
   /// shard-lock counters.
   obs::QueryCounters totals;
-  /// Spill counters of the sharded state, in the sim's shape
+  /// Spill state of the sharded SteMs, in the sim's shape
   /// (Eddy::SpillStats).
   SpillSummary spill;
   /// True when the run stopped early because the query's LIMIT filled.

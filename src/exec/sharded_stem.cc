@@ -52,8 +52,6 @@ void ShardedSpillState::EnableSpill(size_t budget,
 SpillSummary ShardedSpillState::Summarize(
     const std::vector<std::unique_ptr<ShardedStem>>& stems) const {
   SpillSummary out;
-  out.spill_ios = spill_ios.load(std::memory_order_relaxed);
-  out.bytes_spilled = bytes_spilled.load(std::memory_order_relaxed);
   if (pool == nullptr) return out;  // spill disabled
   for (const auto& stem : stems) stem->AddResidency(&out);
   MutexLock lock(&pool_mu);

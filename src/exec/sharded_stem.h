@@ -63,8 +63,9 @@ struct ShardedSpillState {
   void EnableSpill(size_t budget_entries, const SpillOptions& options,
                    obs::MetricsRegistry* registry = nullptr);
 
-  /// The run's spill counters; safe while workers run (takes each shard
-  /// lock, then the pool lock, one at a time).
+  /// The run's spill state (residency, pool); safe while workers run
+  /// (takes each shard lock, then the pool lock, one at a time). The spill
+  /// I/O is the spill_ios / bytes_spilled counters below.
   SpillSummary Summarize(
       const std::vector<std::unique_ptr<ShardedStem>>& stems) const;
 
@@ -182,7 +183,7 @@ class ShardedStem {
   /// under -Wthread-safety.
   struct alignas(64) Shard {
     explicit Shard(const std::string& table)
-        : storage(table, /*sim=*/nullptr, /*pooled=*/false) {}
+        : storage(table, /*pooled=*/false) {}
     mutable Mutex mu;
     StemStorage storage STEMS_GUARDED_BY(mu);
   };

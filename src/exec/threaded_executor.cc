@@ -151,6 +151,14 @@ SpillSummary ThreadedRun::SpillStats() const {
   return state_->spill.Summarize(state_->stems);
 }
 
+obs::QueryCounters ThreadedRun::LiveSpillIo() const {
+  obs::QueryCounters live;
+  live.spill_ios = state_->spill.spill_ios.load(std::memory_order_relaxed);
+  live.bytes_spilled =
+      state_->spill.bytes_spilled.load(std::memory_order_relaxed);
+  return live;
+}
+
 bool ThreadedRun::TryBegin() {
   MutexLock lock(&mu_);
   if (stop_requested_) return false;
@@ -458,8 +466,8 @@ void ThreadPoolExecutor::Finalize(RunState* state) {
   }
   out.limit_reached = state->gate.limit_reached();
   out.spill = state->spill.Summarize(state->stems);
-  out.totals.spill_ios = out.spill.spill_ios;
-  out.totals.bytes_spilled = out.spill.bytes_spilled;
+  out.totals.spill_ios = state->spill.spill_ios.load();
+  out.totals.bytes_spilled = state->spill.bytes_spilled.load();
   out.totals.shard_lock_waits = state->spill.lock_waits.load();
   out.totals.shard_lock_wait_ns = state->spill.lock_wait_ns.load();
   out.wall_us = static_cast<uint64_t>(

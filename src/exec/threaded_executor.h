@@ -68,9 +68,12 @@ class ThreadedRun {
   /// from a worker (e.g. inside a PopOrNotify callback).
   void Stop();
 
-  /// Spill counters of the run's SteMs: live while the workers run, final
+  /// Spill state of the run's SteMs: live while the workers run, final
   /// once results().closed().
   SpillSummary SpillStats() const;
+  /// The spill I/O so far (spill_ios, bytes_spilled; every other counter
+  /// zero): the only counters readable while the workers run.
+  obs::QueryCounters LiveSpillIo() const;
 
  private:
   friend class ThreadPoolExecutor;

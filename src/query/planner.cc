@@ -54,7 +54,7 @@ Result<std::unique_ptr<Eddy>> PlanQuery(const QuerySpec& query,
       storage = stem_pool->Acquire(
           StemManager::KeyFor(inst.table_name, cols, opts,
                               config.eddy.spill.enabled, config.eddy.spill),
-          inst.table_name, sim, &shared);
+          inst.table_name, &shared);
     }
     auto module =
         std::make_unique<Stem>(ctx, inst.table_name, opts, std::move(storage));

@@ -136,13 +136,6 @@ class Tuple : public ValueSource {
   uint32_t route_count() const { return route_count_; }
   void IncrementRouteCount() { ++route_count_; }
 
-  /// Times this probe was deferred behind a spilled partition's
-  /// asynchronous fault-in (SpillProbePolicy::kBounce). SteMs stop
-  /// deferring past SpillOptions::max_probe_deferrals and fault in
-  /// synchronously instead, so re-spills can never starve a probe.
-  uint32_t spill_deferrals() const { return spill_deferrals_; }
-  void IncrementSpillDeferrals() { ++spill_deferrals_; }
-
   /// Transient per-dispatch fields, set by the eddy just before delivery.
   RouteIntent route_intent() const { return route_intent_; }
   int route_target_slot() const { return route_target_slot_; }
@@ -191,7 +184,6 @@ class Tuple : public ValueSource {
   uint64_t probed_ams_ = 0;
   BuildTs last_match_ts_ = 0;
   uint32_t route_count_ = 0;
-  uint32_t spill_deferrals_ = 0;
   uint32_t last_probe_matches_ = 0;
   int probe_completion_slot_ = -1;
   bool probe_completed_ = false;

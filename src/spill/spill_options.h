@@ -15,19 +15,6 @@
 
 namespace stems {
 
-/// What a SteM does with a probe whose matching hash partition is spilled.
-enum class SpillProbePolicy {
-  /// Pay the simulated read I/O and fault the partition back into memory
-  /// before the probe is processed (synchronous, Grace-style fault).
-  kFaultIn,
-  /// Bounce the probe back to the eddy once the partition's asynchronous
-  /// read completes (the §3.1 partition-clustered bounce-back, applied to
-  /// probes): the SteM defers the probe, schedules the fault-in on the
-  /// simulation clock, and re-emits the probe when the data is resident,
-  /// letting the routing policy re-decide where it goes next.
-  kBounce,
-};
-
 struct SpillOptions {
   /// Master switch; when off, the memory governor can only evict.
   bool enabled = false;
@@ -51,14 +38,6 @@ struct SpillOptions {
 
   /// Seed for latency sampling inside the buffer pool.
   uint64_t seed = 7;
-
-  SpillProbePolicy probe_policy = SpillProbePolicy::kFaultIn;
-
-  /// kBounce progress bound: a probe deferred this many times switches to
-  /// a synchronous fault-in, so partitions re-spilled while it was in
-  /// flight can never starve it (bounded deferral, like the eddy's
-  /// BoundedRepetition backstop).
-  uint32_t max_probe_deferrals = 4;
 };
 
 }  // namespace stems

@@ -1,5 +1,7 @@
-// SpillSummary: one query's spill counters, in the shape both executors
-// report them (Eddy::SpillStats, ThreadedRun::SpillStats).
+// SpillSummary: one query's spill state, in the shape both executors
+// report it (Eddy::SpillStats, ThreadedRun::SpillStats). The spill I/O a
+// query did is a per-query counter (obs::QueryCounters::spill_ios and
+// bytes_spilled), not part of this summary.
 #pragma once
 
 #include <cstddef>
@@ -7,11 +9,9 @@
 
 namespace stems {
 
-/// Aggregated spill-subsystem counters across a query's SteMs and its
-/// buffer pool (all zero when spill is disabled).
+/// Residency across a query's SteMs and its buffer pool's counters (all
+/// zero when spill is disabled).
 struct SpillSummary {
-  uint64_t spill_ios = 0;        ///< simulated disk page reads + writes
-  uint64_t bytes_spilled = 0;    ///< bytes ever appended to run files
   uint64_t entries_spilled = 0;  ///< live entries currently on disk
   size_t partitions_resident = 0;
   size_t partitions_spilled = 0;

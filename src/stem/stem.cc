@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "spill/spill_file.h"
 #include "spill/spill_options.h"
 
 namespace stems {
@@ -36,15 +35,6 @@ std::vector<int> StemIndexColumns(const QuerySpec& query,
   return cols;
 }
 
-Stem::~Stem() {
-  // Deferred probes die with their query; release their partition pins so
-  // surviving queries' governors may victimize those partitions again.
-  for (const auto& [p, tuple] : deferred_probes_) {
-    storage_->RemoveSpillWaiter(p);
-  }
-  storage_->Detach(this);
-}
-
 Stem::Stem(QueryContext* ctx, std::string table_name, StemOptions options,
            std::shared_ptr<StemStorage> storage)
     : Module(ctx->sim, "SteM(" + table_name + ")"),
@@ -59,8 +49,7 @@ Stem::Stem(QueryContext* ctx, std::string table_name, StemOptions options,
   table_has_index_am_ = def->HasIndexAm();
 
   if (storage_ == nullptr) {
-    storage_ = std::make_shared<StemStorage>(table_name_, ctx_->sim,
-                                             /*pooled=*/false);
+    storage_ = std::make_shared<StemStorage>(table_name_, /*pooled=*/false);
   }
   // First attacher materializes the index set; later attachers of a pooled
   // storage need the same columns by construction (the StemManager keys
@@ -77,7 +66,6 @@ Stem::Stem(QueryContext* ctx, std::string table_name, StemOptions options,
            "pooled SteM storage acquired with a different index column set");
   }
   attach_watermark_ = storage_->build_seq();
-  storage_->Attach(this);
 
   if (options_.num_partitions > 1) {
     deferred_bounces_.resize(options_.num_partitions);
@@ -155,47 +143,17 @@ size_t Stem::SpillColdestPartition() {
   return out.entries;
 }
 
-void Stem::OnPartitionFaulted(size_t partition) {
-  // Bounce this partition's deferred probes back to the eddy; probes
-  // waiting on other partitions stay behind their own pending faults.
-  size_t kept = 0;
-  bool emitted = false;
-  for (auto& [p, tuple] : deferred_probes_) {
-    if (p == partition) {
-      storage_->RemoveSpillWaiter(p);
-      Emit(std::move(tuple));
-      emitted = true;
-    } else {
-      deferred_probes_[kept++] = {p, std::move(tuple)};
-    }
-  }
-  deferred_probes_.resize(kept);
-  if (emitted) NotifyChange();
-}
-
-void Stem::AttributeRestore(const StemStorage::SpillResult& in,
-                            bool synchronous) {
-  if (synchronous) {
-    AccrueIoCharge(in);
-  } else {
-    // The asynchronous read's virtual time was the fault event's delay;
-    // only the counters are still owed.
-    counters_.spill_ios += in.ios;
-    counters_.bytes_spilled += in.bytes;
-  }
+void Stem::AttributeRestore(const StemStorage::SpillResult& in) {
+  AccrueIoCharge(in);
   if (in.entries > 0) {
     spill_in_series_->Increment(sim()->now(),
                                 static_cast<int64_t>(in.entries));
   }
 }
 
-void Stem::AttributeAsyncRestore(const StemStorage::SpillResult& restored) {
-  AttributeRestore(restored, /*synchronous=*/false);
-}
-
 bool Stem::Quiescent() const {
   if (!Module::Quiescent()) return false;
-  return pending_io_markers_ == 0 && deferred_probes_.empty();
+  return pending_io_markers_ == 0;
 }
 
 size_t Stem::PartitionOf(const Tuple& tuple) const {
@@ -489,41 +447,19 @@ void Stem::ProcessProbe(TuplePtr tuple) {
         }
       }
     }
-    // Heat is counted for deferred probes too: a partition with waiters is
-    // hot, so the governor keeps it resident once faulted in.
     if (bound) storage_->CountProbe(bound_p);
     if (storage_->partitions_spilled() > 0) {
-      const SpillProbePolicy policy = storage_->spill_probe_policy();
       if (bound && !storage_->PartitionResident(bound_p)) {
-        if (policy == SpillProbePolicy::kBounce &&
-            tuple->spill_deferrals() < storage_->max_probe_deferrals()) {
-          // Constraint-consistent deferral: the probe is processed against
-          // *nothing* (no matches emitted, no probe bookkeeping touched),
-          // so re-probing it once the partition is resident is exact. The
-          // asynchronous fault-in re-emits it to the eddy, where the
-          // routing policy is free to send it elsewhere first.
-          ++probes_deferred_;
-          tuple->IncrementSpillDeferrals();
-          spill_parts_scratch_.assign(1, bound_p);
-          storage_->AddSpillWaiter(bound_p);
-          storage_->ScheduleFaultIn(spill_parts_scratch_, this);
-          deferred_probes_.emplace_back(bound_p, std::move(tuple));
-          return;
-        }
-        // kFaultIn: pay the simulated read I/O and restore the partition
-        // before the probe is processed.
-        AttributeRestore(storage_->FaultInPartition(bound_p),
-                         /*synchronous=*/true);
+        // Pay the simulated read I/O and restore the partition before the
+        // probe is processed.
+        AttributeRestore(storage_->FaultInPartition(bound_p));
         faulted_during_probe_ = true;
       } else if (!bound) {
         // No equality binding on the partitioning column: any spilled
-        // partition could hold matches. Fault them all in synchronously —
-        // also under kBounce, where deferring behind several independent
-        // reads would let re-spills starve the probe.
+        // partition could hold matches. Fault them all in.
         for (size_t p = 0; p < nparts; ++p) {
           if (!storage_->PartitionResident(p)) {
-            AttributeRestore(storage_->FaultInPartition(p),
-                             /*synchronous=*/true);
+            AttributeRestore(storage_->FaultInPartition(p));
           }
         }
         faulted_during_probe_ = true;

@@ -25,9 +25,8 @@
 //   * spillable state (src/spill/): under a global memory budget the
 //     governor moves whole hash partitions to simulated run files instead
 //     of evicting, keeping joins exact. Builds into a spilled partition
-//     append to its run; probes against one either fault it back in
-//     (paying buffer-pool read I/O) or are deferred and bounced back to
-//     the eddy when the asynchronous fault-in completes.
+//     append to its run; a probe against one faults it back in first
+//     (paying buffer-pool read I/O).
 //
 // Cross-query sharing (§5, docs/sharing.md): this class is the *per-query
 // facade* of a SteM. The physical dictionary (rows, indexes, spill
@@ -103,7 +102,6 @@ class Stem : public Module {
   /// the engine's StemManager) may already hold other queries' state.
   Stem(QueryContext* ctx, std::string table_name, StemOptions options = {},
        std::shared_ptr<StemStorage> storage = nullptr);
-  ~Stem() override;
 
   ModuleKind kind() const override { return ModuleKind::kStem; }
 
@@ -196,10 +194,6 @@ class Stem : public Module {
   /// file's lifetime totals.
   uint64_t spill_ios() const { return counters_.spill_ios; }
   uint64_t bytes_spilled() const { return counters_.bytes_spilled; }
-  /// Partitions faulted back into memory (storage-wide).
-  uint64_t spill_faults() const { return storage_->spill_faults(); }
-  /// Probes deferred because their partition was spilled (kBounce policy).
-  uint64_t probes_deferred() const { return probes_deferred_; }
 
   /// Expected extra virtual time a probe pays here right now because of
   /// spilled partitions (fault-in I/O, amortized). Routing policies fold
@@ -208,15 +202,9 @@ class Stem : public Module {
     return storage_->ExpectedProbeSpillCost();
   }
 
-  /// A SteM with deferred probes or an outstanding I/O charge marker is
-  /// not quiescent: a pending event will still re-emit tuples or occupy
-  /// virtual time on this query's behalf.
+  /// A SteM with an outstanding I/O charge marker is not quiescent: a
+  /// pending event will still occupy virtual time on this query's behalf.
   bool Quiescent() const override;
-
-  /// StemStorage callbacks (asynchronous fault-in completion): re-emit
-  /// this query's deferred probes / bill the restore it requested.
-  void OnPartitionFaulted(size_t partition);
-  void AttributeAsyncRestore(const StemStorage::SpillResult& restored);
 
   /// The name of the index implementation currently backing `column`
   /// ("hash", "ordered", "list"); empty if the column is not indexed.
@@ -242,12 +230,9 @@ class Stem : public Module {
   /// ios/bytes of the triggering operation are billed to this query.
   void AccrueIoCharge(const StemStorage::SpillResult& io);
 
-  /// Single home for restore (fault-in) attribution: bills the I/O to this
-  /// query — as a service charge when the restore ran synchronously under
-  /// a probe, as counters only when it completed asynchronously (its cost
-  /// was already modeled by the fault event's delay) — and feeds the
-  /// spill.in metric series.
-  void AttributeRestore(const StemStorage::SpillResult& in, bool synchronous);
+  /// Bills a probe's fault-in I/O to this query as a service charge and
+  /// feeds the spill.in metric series.
+  void AttributeRestore(const StemStorage::SpillResult& in);
 
   /// Candidate entry ids for a probe: equality bindings through the hash
   /// index when possible, range join predicates through an ordered index
@@ -266,7 +251,6 @@ class Stem : public Module {
   mutable ProbeBindings partition_binds_scratch_;
   std::vector<uint32_t> candidates_scratch_;
   std::vector<const Predicate*> preds_scratch_;
-  std::vector<size_t> spill_parts_scratch_;
 
   QueryContext* ctx_;
   std::string table_name_;
@@ -294,10 +278,6 @@ class Stem : public Module {
   /// Grace mode state.
   std::vector<std::vector<TuplePtr>> deferred_bounces_;
   mutable size_t last_probed_partition_ = SIZE_MAX;
-
-  /// kBounce: probes parked in this facade behind their partition's
-  /// asynchronous fault-in, tagged with the partition they need.
-  std::vector<std::pair<size_t, TuplePtr>> deferred_probes_;
 
   /// Spill I/O cost accrued during processing; drained into the next
   /// ServiceTime (write-behind spills / synchronous fault-ins consume this
@@ -337,7 +317,6 @@ class Stem : public Module {
   obs::QueryCounters counters_;
   uint64_t probes_bounced_ = 0;
   uint64_t evictions_ = 0;
-  uint64_t probes_deferred_ = 0;
   uint64_t attach_watermark_ = 0;
   bool attached_shared_ = false;
 };

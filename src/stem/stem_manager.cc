@@ -18,8 +18,6 @@ std::string SpillKey(const SpillOptions& spill) {
          std::to_string(spill.page_entries) + ":" +
          std::to_string(spill.pool_frames) + ":" +
          std::to_string(spill.seed) + ":" +
-         std::to_string(static_cast<int>(spill.probe_policy)) + ":" +
-         std::to_string(spill.max_probe_deferrals) + ":" +
          std::to_string(reinterpret_cast<uintptr_t>(spill.read_latency.get())) +
          ":" +
          std::to_string(reinterpret_cast<uintptr_t>(spill.write_latency.get()));
@@ -41,7 +39,6 @@ std::string StemManager::KeyFor(const std::string& table,
 
 std::shared_ptr<StemStorage> StemManager::Acquire(const std::string& key,
                                                   const std::string& table,
-                                                  Simulation* sim,
                                                   bool* shared) {
   PurgeExpired();
   ++acquires_;
@@ -54,7 +51,7 @@ std::shared_ptr<StemStorage> StemManager::Acquire(const std::string& key,
     }
   }
   *shared = false;
-  auto storage = std::make_shared<StemStorage>(table, sim, /*pooled=*/true);
+  auto storage = std::make_shared<StemStorage>(table, /*pooled=*/true);
   storages_[key] = storage;
   return storage;
 }

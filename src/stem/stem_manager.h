@@ -11,8 +11,8 @@
 // build cost and memory twice. See docs/sharing.md for the visibility
 // model that keeps results exact.
 //
-// Lifecycle is ref-counted and lazily evicting: facades (and in-flight
-// fault-in events) hold shared_ptrs, the manager holds only weak entries.
+// Lifecycle is ref-counted and lazily evicting: facades hold shared_ptrs,
+// the manager holds only weak entries.
 // When the last query releases a storage it is detached and the registry
 // entry expires; expired entries are purged on the next acquire or stats
 // call ("detach, then evict").
@@ -59,7 +59,7 @@ class StemManager {
   /// query attaches to state another query built.
   std::shared_ptr<StemStorage> Acquire(const std::string& key,
                                        const std::string& table,
-                                       Simulation* sim, bool* shared);
+                                       bool* shared);
 
   /// The engine-wide buffer pool for pooled spilling SteMs with this spill
   /// configuration (created on first use; lives as long as the manager).

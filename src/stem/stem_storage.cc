@@ -1,15 +1,13 @@
 #include "stem/stem_storage.h"
 
-#include <algorithm>
 #include <cassert>
 
 #include "spill/spill_file.h"
-#include "stem/stem.h"
 
 namespace stems {
 
-/// Spill-partition state: the run file, per-partition residency/heat, and
-/// the fault-in scheduling shared by every attached query.
+/// Spill-partition state: the run file and per-partition residency/heat,
+/// shared by every attached query.
 struct StemStorage::Spill {
   BufferPool* pool = nullptr;
   SpillOptions options;
@@ -36,44 +34,19 @@ struct StemStorage::Spill {
   /// Run file still equals the partition's content (clean): re-spilling is
   /// free — drop the memory copy. Cleared by any in-memory mutation.
   std::vector<uint8_t> run_valid;
-  std::vector<uint8_t> fault_scheduled;  ///< async fault-in pending
-  /// Probes (from any attached query) deferred behind each partition's
-  /// asynchronous fault-in; such partitions must not be re-victimized.
-  std::vector<uint32_t> waiters;
-  /// Facade whose probe scheduled each pending fault; the restore I/O is
-  /// attributed to it at completion if it is still attached.
-  std::vector<Stem*> fault_requester;
   /// A fault-in's unslotted run tail (reused buffer).
   std::vector<SpilledEntry> restore_scratch;
   size_t spilled_partitions = 0;
-  size_t pending_fault_events = 0;
   /// Most recently faulted partition: skipped by victim selection (unless
   /// it is the only candidate) so a fault-in is not immediately undone.
   size_t last_faulted = SIZE_MAX;
-  uint64_t faults = 0;
   uint64_t entries_spilled_total = 0;
 };
 
-StemStorage::StemStorage(std::string table_name, Simulation* sim, bool pooled)
-    : table_name_(std::move(table_name)), sim_(sim), pooled_(pooled) {}
+StemStorage::StemStorage(std::string table_name, bool pooled)
+    : table_name_(std::move(table_name)), pooled_(pooled) {}
 
 StemStorage::~StemStorage() = default;
-
-void StemStorage::Attach(Stem* facade) { attached_.push_back(facade); }
-
-void StemStorage::Detach(Stem* facade) {
-  attached_.erase(std::remove(attached_.begin(), attached_.end(), facade),
-                  attached_.end());
-  if (spill_ != nullptr) {
-    // A fault the facade requested may still be in flight; clear the
-    // attribution slot so CompleteFaultIn never compares (or bills) a
-    // dangling pointer — a later query's facade could be allocated at the
-    // same address and silently inherit the restore I/O.
-    for (Stem*& requester : spill_->fault_requester) {
-      if (requester == facade) requester = nullptr;
-    }
-  }
-}
 
 void StemStorage::AddSlot(RowRef row, BuildTs stored_ts, size_t p) {
   const uint32_t id = static_cast<uint32_t>(entries_.size());
@@ -138,9 +111,6 @@ void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
   s.probe_counts.assign(n, 0);
   s.part_of_entry.assign(entries_.size(), 0);
   s.run_valid.assign(n, 0);
-  s.fault_scheduled.assign(n, 0);
-  s.waiters.assign(n, 0);
-  s.fault_requester.assign(n, nullptr);
   s.ids_in_partition.assign(n, {});
   for (uint32_t id = 0; id < entries_.size(); ++id) {
     if (entries_[id].row == nullptr) continue;
@@ -149,15 +119,6 @@ void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
     ++s.live_in_partition[p];
     s.ids_in_partition[p].push_back(id);
   }
-}
-
-SpillProbePolicy StemStorage::spill_probe_policy() const {
-  return spill_ == nullptr ? SpillProbePolicy::kFaultIn
-                           : spill_->options.probe_policy;
-}
-
-uint32_t StemStorage::max_probe_deferrals() const {
-  return spill_ == nullptr ? 0 : spill_->options.max_probe_deferrals;
 }
 
 int StemStorage::spill_part_col() const {
@@ -196,17 +157,11 @@ StemStorage::SpillResult StemStorage::SpillColdestPartition() {
   if (spill_ == nullptr) return out;
   Spill& s = *spill_;
   const size_t nparts = s.resident.size();
-  // Partitions a probe is waiting on (deferred behind a fault-in, or the
-  // read is already scheduled) must not be spilled back out from under it.
-  auto demanded = [&s](size_t p) {
-    return s.fault_scheduled[p] != 0 || s.waiters[p] > 0;
-  };
   size_t victim = SIZE_MAX;
   double victim_heat = 0;
   for (size_t p = 0; p < nparts; ++p) {
     if (!s.resident[p] || s.live_in_partition[p] == 0) continue;
     if (p == s.last_faulted) continue;  // anti-thrash: not right back out
-    if (demanded(p)) continue;
     const double heat = static_cast<double>(s.probe_counts[p]) /
                         static_cast<double>(s.live_in_partition[p]);
     if (victim == SIZE_MAX || heat < victim_heat ||
@@ -217,9 +172,8 @@ StemStorage::SpillResult StemStorage::SpillColdestPartition() {
     }
   }
   if (victim == SIZE_MAX && s.last_faulted < nparts &&
-      s.resident[s.last_faulted] && s.live_in_partition[s.last_faulted] > 0 &&
-      !demanded(s.last_faulted)) {
-    // Sole candidate beats an unenforced budget — unless probes wait on it.
+      s.resident[s.last_faulted] && s.live_in_partition[s.last_faulted] > 0) {
+    // Sole candidate beats an unenforced budget.
     victim = s.last_faulted;
   }
   if (victim == SIZE_MAX) return out;
@@ -258,10 +212,10 @@ StemStorage::SpillResult StemStorage::SpillColdestPartition() {
   return out;
 }
 
-StemStorage::SpillResult StemStorage::RestorePartitionLocked(size_t p) {
-  Spill& s = *spill_;
+StemStorage::SpillResult StemStorage::FaultInPartition(size_t p) {
   SpillResult out;
-  if (s.resident[p]) return out;
+  if (spill_ == nullptr || spill_->resident[p]) return out;
+  Spill& s = *spill_;
   const uint64_t ios_before = s.file->disk_ios();
   // Every page is fetched (the I/O model is unchanged), but only the run's
   // unslotted tail — rows appended while spilled — is copied out and
@@ -285,14 +239,8 @@ StemStorage::SpillResult StemStorage::RestorePartitionLocked(size_t p) {
   // The retained run equals the in-memory partition again.
   s.run_valid[p] = 1;
   s.last_faulted = p;
-  ++s.faults;
   out.ios = s.file->disk_ios() - ios_before;
   return out;
-}
-
-StemStorage::SpillResult StemStorage::FaultInPartition(size_t p) {
-  if (spill_ == nullptr) return {};
-  return RestorePartitionLocked(p);
 }
 
 StemStorage::SpillResult StemStorage::AppendToSpilledPartition(
@@ -308,55 +256,6 @@ StemStorage::SpillResult StemStorage::AppendToSpilledPartition(
   out.ios = s.file->disk_ios() - ios_before;
   out.bytes = s.file->bytes_written() - bytes_before;
   return out;
-}
-
-void StemStorage::AddSpillWaiter(size_t p) {
-  if (spill_ != nullptr) ++spill_->waiters[p];
-}
-
-void StemStorage::RemoveSpillWaiter(size_t p) {
-  if (spill_ != nullptr && spill_->waiters[p] > 0) --spill_->waiters[p];
-}
-
-void StemStorage::ScheduleFaultIn(const std::vector<size_t>& parts,
-                                  Stem* requester) {
-  Spill& s = *spill_;
-  for (size_t p : parts) {
-    if (s.resident[p] || s.fault_scheduled[p]) continue;
-    s.fault_scheduled[p] = 1;
-    s.fault_requester[p] = requester;
-    ++s.pending_fault_events;
-    // The event delay models the asynchronous read; pool bookkeeping (and
-    // page caching) happens at completion. Never zero, so a defer/fault
-    // cycle always advances virtual time. The closure keeps the storage
-    // alive: a query may detach (even be destroyed) before the read lands.
-    const SimTime delay =
-        std::max<SimTime>(Micros(1), s.file->EstimateRestoreCost(p));
-    sim_->Schedule(delay, [self = shared_from_this(), p] {
-      self->CompleteFaultIn(p);
-    });
-  }
-}
-
-void StemStorage::CompleteFaultIn(size_t p) {
-  Spill& s = *spill_;
-  assert(s.pending_fault_events > 0);
-  --s.pending_fault_events;
-  s.fault_scheduled[p] = 0;
-  Stem* requester = s.fault_requester[p];
-  s.fault_requester[p] = nullptr;
-  const SpillResult restored =
-      RestorePartitionLocked(p);  // no-op if faulted in meanwhile
-  if (requester != nullptr &&
-      std::find(attached_.begin(), attached_.end(), requester) !=
-          attached_.end()) {
-    requester->AttributeAsyncRestore(restored);
-  }
-  // Every attached query gets to re-emit its probes deferred behind this
-  // partition; queries without waiters ignore the callback.
-  for (Stem* facade : attached_) {
-    facade->OnPartitionFaulted(p);
-  }
 }
 
 size_t StemStorage::partitions_spilled() const {
@@ -377,14 +276,6 @@ uint64_t StemStorage::entries_spilled() const {
     if (!spill_->resident[p]) n += spill_->file->EntriesIn(p);
   }
   return n;
-}
-
-uint64_t StemStorage::spill_faults() const {
-  return spill_ == nullptr ? 0 : spill_->faults;
-}
-
-size_t StemStorage::pending_fault_events() const {
-  return spill_ == nullptr ? 0 : spill_->pending_fault_events;
 }
 
 SimTime StemStorage::ExpectedProbeSpillCost() const {

@@ -7,10 +7,11 @@
 // indexes, and the spill-partition state, factored out of the per-query
 // Stem module so several concurrent queries can attach to one copy.
 //
-// Ownership is ref-counted: every attached Stem facade (and any in-flight
-// asynchronous fault-in event) holds a shared_ptr; the engine's StemManager
-// keeps only a weak registry entry, so the storage is evicted lazily when
-// the last query releases it.
+// Ownership is ref-counted: every attached Stem facade holds a shared_ptr;
+// the engine's StemManager keeps only a weak registry entry, so the storage
+// is evicted lazily when the last query releases it. The storage schedules
+// nothing on a clock: every spill operation runs synchronously and returns
+// its I/O to the caller, so the sim SteM and the threaded shards share it.
 //
 // Visibility across queries is NOT this class's concern. In pooled mode
 // every entry carries an insertion sequence number, and each attached
@@ -27,7 +28,7 @@
 #include <vector>
 
 #include "runtime/tuple.h"
-#include "sim/simulation.h"
+#include "sim/clock.h"
 #include "spill/spill_options.h"
 #include "stem/stem_index.h"
 #include "types/row.h"
@@ -35,9 +36,8 @@
 namespace stems {
 
 class BufferPool;
-class Stem;
 
-class StemStorage : public std::enable_shared_from_this<StemStorage> {
+class StemStorage {
  public:
   /// One slot of the entry array. A slot keeps its row, its index
   /// postings and its id while its spill partition is on disk: residency
@@ -54,7 +54,7 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   /// `pooled` marks storage managed by a StemManager (shared across
   /// queries): builds go through per-facade visibility overlays and
   /// windowed eviction is refused.
-  StemStorage(std::string table_name, Simulation* sim, bool pooled);
+  StemStorage(std::string table_name, bool pooled);
   ~StemStorage();
 
   StemStorage(const StemStorage&) = delete;
@@ -62,12 +62,6 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
 
   const std::string& table_name() const { return table_name_; }
   bool pooled() const { return pooled_; }
-
-  // --- attached facades ------------------------------------------------------
-
-  void Attach(Stem* facade);
-  void Detach(Stem* facade);
-  size_t attached_count() const { return attached_.size(); }
 
   /// Monotonic insertion sequence; a facade snapshots it at attach time as
   /// its visibility watermark (entries at or below it predate the query).
@@ -121,8 +115,6 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   void EnableSpill(BufferPool* pool, const SpillOptions& options,
                    int part_col);
   bool spill_enabled() const { return spill_ != nullptr; }
-  SpillProbePolicy spill_probe_policy() const;
-  uint32_t max_probe_deferrals() const;
   int spill_part_col() const;
   size_t num_spill_partitions() const;
   bool PartitionResident(size_t p) const;
@@ -148,24 +140,10 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
   SpillResult AppendToSpilledPartition(size_t p, RowRef row,
                                        BuildTs stored_ts);
 
-  /// A facade deferred a probe behind partition `p` (SpillProbePolicy::
-  /// kBounce): the partition must not be re-spilled out from under it.
-  void AddSpillWaiter(size_t p);
-  void RemoveSpillWaiter(size_t p);
-
-  /// Schedules the asynchronous fault-in of every partition in `parts`
-  /// (no-op for resident or already-scheduled ones). The event holds a
-  /// shared_ptr to this storage, so it outlives any detaching query; on
-  /// completion every *attached* facade is told (Stem::OnPartitionFaulted)
-  /// and the restore I/O is attributed to `requester` if still attached.
-  void ScheduleFaultIn(const std::vector<size_t>& parts, Stem* requester);
-
   size_t partitions_spilled() const;
   size_t partitions_resident() const;
   /// Live entries currently only on disk (in non-resident partitions).
   uint64_t entries_spilled() const;
-  uint64_t spill_faults() const;
-  size_t pending_fault_events() const;
   /// Expected extra virtual time a probe pays right now because of spilled
   /// partitions (fault-in I/O, amortized).
   SimTime ExpectedProbeSpillCost() const;
@@ -173,15 +151,12 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
  private:
   struct Spill;  // defined in stem_storage.cc; keeps spill includes out
 
-  void CompleteFaultIn(size_t p);
-  SpillResult RestorePartitionLocked(size_t p);
   /// Appends a slot for `row` in partition `p` and indexes it. Dedup
   /// identity and live_entries_ are the callers' business: a restore
   /// neither re-registers the row nor counts it before the partition does.
   void AddSlot(RowRef row, BuildTs stored_ts, size_t p);
 
   std::string table_name_;
-  Simulation* sim_;
   bool pooled_;
 
   std::vector<Entry> entries_;
@@ -192,8 +167,6 @@ class StemStorage : public std::enable_shared_from_this<StemStorage> {
 
   /// join column -> index (indexes are secondary: ids into entries_).
   std::vector<std::pair<int, std::unique_ptr<StemIndex>>> indexes_;
-
-  std::vector<Stem*> attached_;
 
   std::unique_ptr<Spill> spill_;
 };

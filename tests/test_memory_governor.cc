@@ -154,9 +154,9 @@ TEST_P(MemoryGovernorBatchTest, SpillColdestKeepsJoinExact) {
   EXPECT_TRUE(duplicates.empty());
   EXPECT_EQ(keys, BruteForceResultSet(query_, db_.store));
   EXPECT_EQ(eddy->violations().size(), 0u);
-  const SpillSummary spill = eddy->SpillStats();
-  EXPECT_GT(spill.spill_ios, 0u);
-  EXPECT_GT(spill.bytes_spilled, 0u);
+  const obs::QueryCounters counters = eddy->Counters();
+  EXPECT_GT(counters.spill_ios, 0u);
+  EXPECT_GT(counters.bytes_spilled, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(BatchSizes, MemoryGovernorBatchTest,

@@ -503,6 +503,34 @@ TEST_F(CounterTableTest, SimCancelMidRunPublishesWorkButNoCompletion) {
             0u);
 }
 
+// Module events of a cancelled sim query that are already on the shared
+// clock still run while another query drains it. Their work must not reach
+// the cancelled query's Stats(): it stays what Cancel published.
+TEST_F(CounterTableTest, SimCancelMidRunFreezesStats) {
+  auto cancelled = engine_.Query(std::string(kSql) + "0",
+                                 RunOptions::LargerThanMemory(128));
+  ASSERT_TRUE(cancelled.ok());
+  ResultCursor cursor = cancelled.Value().cursor();
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(cursor.Next().has_value());
+  ASSERT_FALSE(cancelled.Value().done());
+  cancelled.Value().Cancel();
+  const uint64_t probes = Registry("stem.probes");
+  const uint64_t matches = Registry("stem.matches");
+
+  auto drained = engine_.Query(std::string(kSql) + "50",
+                               RunOptions::LargerThanMemory(128));
+  ASSERT_TRUE(drained.ok());
+  drained.Value().Wait();
+
+  const QueryStats stats = cancelled.Value().Stats();
+  EXPECT_EQ(stats.probes, probes);
+  EXPECT_EQ(stats.matches, matches);
+  obs::QueryCounters sum;
+  sum += stats;
+  sum += drained.Value().Stats();
+  ExpectRegistryMatches(sum);
+}
+
 // The Stats wire frame's payload is the wire contract.
 TEST(TenantRollupTest, StatsFrameCounterNames) {
   // Golden counter-name list of the Stats wire frame payload. A counter

@@ -2,8 +2,7 @@
 // spread of queries, running with a tight global memory budget (25% of the
 // total build size) plus spilling enabled must produce a result set
 // identical to the unlimited-memory run — exactness is the whole point of
-// spilling over eviction. Checked for both probe policies (synchronous
-// fault-in and deferred bounce-back) and for scalar and batched routing,
+// spilling over eviction. Checked for scalar and batched routing,
 // mirroring tests/test_batch_equivalence.cc.
 #include <gtest/gtest.h>
 
@@ -136,8 +135,7 @@ struct RunOutcome {
 };
 
 RunOutcome RunCase(const SpillCase& c, const std::string& policy,
-                   size_t budget, SpillProbePolicy probe_policy,
-                   size_t batch_size) {
+                   size_t budget, size_t batch_size) {
   Engine engine;
   QuerySpec query = c.make(engine);
   RunOptions options;
@@ -150,7 +148,6 @@ RunOutcome RunCase(const SpillCase& c, const std::string& policy,
   if (budget > 0) {
     options.memory_budget_entries = budget;
     options.spill = true;
-    options.exec.eddy.spill.probe_policy = probe_policy;
   }
   auto submitted = engine.Submit(query, options);
   EXPECT_TRUE(submitted.ok()) << submitted.status().ToString();
@@ -168,8 +165,7 @@ TEST(SpillEquivalenceTest, AllPoliciesTightBudgetMatchesUnlimited) {
   for (const std::string& policy : PolicyRegistry::Global().Names()) {
     for (const SpillCase& c : Cases()) {
       SCOPED_TRACE("policy=" + policy + " case=" + c.name);
-      RunOutcome unlimited = RunCase(c, policy, /*budget=*/0,
-                                     SpillProbePolicy::kFaultIn, 1);
+      RunOutcome unlimited = RunCase(c, policy, /*budget=*/0, 1);
       if (::testing::Test::HasFatalFailure()) return;
       // The unlimited run anchors correctness against ground truth.
       EXPECT_EQ(unlimited.keys, unlimited.expected);
@@ -178,25 +174,19 @@ TEST(SpillEquivalenceTest, AllPoliciesTightBudgetMatchesUnlimited) {
       EXPECT_EQ(unlimited.stats.spill_ios, 0u);
 
       const size_t budget = c.build_rows / 4;  // 25% of total build size
-      for (SpillProbePolicy pp :
-           {SpillProbePolicy::kFaultIn, SpillProbePolicy::kBounce}) {
-        for (size_t batch_size : {size_t{1}, size_t{8}}) {
-          SCOPED_TRACE(std::string("probe_policy=") +
-                       (pp == SpillProbePolicy::kFaultIn ? "fault_in"
-                                                         : "bounce") +
-                       " batch_size=" + std::to_string(batch_size));
-          RunOutcome spilled = RunCase(c, policy, budget, pp, batch_size);
-          EXPECT_EQ(spilled.keys, unlimited.keys);
-          EXPECT_TRUE(spilled.duplicates.empty());
-          EXPECT_EQ(spilled.stats.constraint_violations, 0u);
-          EXPECT_EQ(spilled.stats.parked, 0u);
-          // Memory pressure was real: the governor spilled and the run
-          // files saw disk traffic. (Resident entries may transiently
-          // exceed the budget around a fault-in; exactness never depends
-          // on the budget being airtight.)
-          EXPECT_GT(spilled.stats.spill_ios, 0u);
-          EXPECT_GT(spilled.stats.bytes_spilled, 0u);
-        }
+      for (size_t batch_size : {size_t{1}, size_t{8}}) {
+        SCOPED_TRACE("batch_size=" + std::to_string(batch_size));
+        RunOutcome spilled = RunCase(c, policy, budget, batch_size);
+        EXPECT_EQ(spilled.keys, unlimited.keys);
+        EXPECT_TRUE(spilled.duplicates.empty());
+        EXPECT_EQ(spilled.stats.constraint_violations, 0u);
+        EXPECT_EQ(spilled.stats.parked, 0u);
+        // Memory pressure was real: the governor spilled and the run
+        // files saw disk traffic. (Resident entries may transiently
+        // exceed the budget around a fault-in; exactness never depends
+        // on the budget being airtight.)
+        EXPECT_GT(spilled.stats.spill_ios, 0u);
+        EXPECT_GT(spilled.stats.bytes_spilled, 0u);
       }
     }
   }
@@ -220,10 +210,8 @@ TEST(SpillEquivalenceTest, FaultInRuntimeWithinFiveXOfUnlimited) {
                       qb.AddTable("R").AddTable("S").AddJoin("R.k", "S.x");
                       return qb.Build().ValueOrDie();
                     }};
-  RunOutcome unlimited =
-      RunCase(c, "nary_shj", 0, SpillProbePolicy::kFaultIn, 1);
-  RunOutcome spilled = RunCase(c, "nary_shj", c.build_rows / 4,
-                               SpillProbePolicy::kFaultIn, 1);
+  RunOutcome unlimited = RunCase(c, "nary_shj", 0, 1);
+  RunOutcome spilled = RunCase(c, "nary_shj", c.build_rows / 4, 1);
   EXPECT_EQ(spilled.keys, unlimited.keys);
   ASSERT_GT(unlimited.stats.completed_at, 0);
   ASSERT_NE(unlimited.stats.completed_at, kSimTimeNever);

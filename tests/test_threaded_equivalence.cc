@@ -254,10 +254,10 @@ TEST(ThreadedEquivalence, LargerThanMemorySpillPreset) {
         EXPECT_EQ(run.keys, expected);
         EXPECT_TRUE(run.duplicates.empty());
         EXPECT_TRUE(run.outcome.violations.empty());
-        EXPECT_GT(run.outcome.spill.spill_ios, 0u)
+        EXPECT_GT(run.outcome.totals.spill_ios, 0u)
             << "budget 32 over ~120 entries must spill";
         EXPECT_GT(
-            run.outcome.spill.entries_spilled + run.outcome.spill.spill_ios,
+            run.outcome.spill.entries_spilled + run.outcome.totals.spill_ios,
             0u);
         EXPECT_TRUE(run.outcome.spill.partitions_spilled > 0 ||
                     run.outcome.spill.entries_spilled > 0)
@@ -652,7 +652,7 @@ TEST(ShardedStemSpill, CleanRespillIsFreeAndSpilledBuildReturnsOnce) {
   SpillSummary s = spill.Summarize(stems);
   ASSERT_EQ(s.partitions_spilled, 1u);
   EXPECT_EQ(s.entries_spilled, 1u);
-  EXPECT_GT(s.spill_ios, 0u) << "a dirty spill-out writes its run";
+  EXPECT_GT(spill.spill_ios.load(), 0u) << "a dirty spill-out writes its run";
 
   // Behind the spilled shard: a new row goes to the run, a duplicate is
   // still absorbed (its dedup identity stays in memory).
@@ -668,12 +668,13 @@ TEST(ShardedStemSpill, CleanRespillIsFreeAndSpilledBuildReturnsOnce) {
   // A build into the other shard re-spills the restored one. Nothing was
   // built into it since the fault-in, so its retained run is still the
   // truth: the spill-out costs no I/O.
-  const uint64_t ios_before = spill.Summarize(stems).spill_ios;
+  const uint64_t ios_before = spill.spill_ios.load();
   ASSERT_TRUE(build(other, 1).inserted);
   s = spill.Summarize(stems);
   ASSERT_EQ(s.partitions_spilled, 1u);
   EXPECT_EQ(s.entries_spilled, 2u);
-  EXPECT_EQ(s.spill_ios, ios_before) << "clean re-spill must be free";
+  EXPECT_EQ(spill.spill_ios.load(), ios_before)
+      << "clean re-spill must be free";
 
   // And the second round trip loses and duplicates nothing either.
   EXPECT_EQ(probe_key(), (std::multiset<int64_t>{10, 11}));

@@ -67,6 +67,18 @@ conventions:
                    back beside the threaded ShardedStem, with its own spill
                    semantics and its own I/O accounting.
 
+  stem-lookup-in-storage
+                   A SteM probe finds its candidates in one place:
+                   StemStorage::Lookup (src/stem/), which picks a column
+                   index for equality bindings, an ordered index for range
+                   predicates, else every entry; StemStorage::Store is the
+                   one insert-or-append build. No file under src/exec/ may
+                   name StemIndex, HashStemIndex, MakeStemIndex, LookupEq,
+                   LookupRange or AppendToSpilledPartition: that is how a
+                   second lookup grows back beside the threaded
+                   ShardedStem, with its own index choice (range joins as
+                   full scans, StemOptions::index_impl ignored).
+
   stem-storage-clock-free
                    StemStorage (src/stem/stem_storage.{h,cc}) is the one
                    SteM storage of both executors, and the threaded shards
@@ -150,6 +162,11 @@ POLICY_HOME_DIRS = ("src/eddy/policies/", "src/engine/")
 STEM_FORK_RE = re.compile(
     r"\bRowRefContentHash\b|\bunordered_map\s*<\s*(?:stems::)?Value\s*,")
 STEM_FORK_DIRS = ("src/exec/",)
+
+STEM_LOOKUP_RE = re.compile(
+    r"\b(?:StemIndex|HashStemIndex|MakeStemIndex|LookupEq|LookupRange"
+    r"|AppendToSpilledPartition)\b")
+STEM_LOOKUP_DIRS = ("src/exec/",)
 
 CLOCK_FREE_FILES = ("src/stem/stem_storage.h", "src/stem/stem_storage.cc")
 CLOCK_FREE_RE = re.compile(
@@ -284,6 +301,16 @@ def check_file(rel, lines, errors):
                 f"value-keyed column index in src/exec/; SteM state lives "
                 f"in src/stem/ (StemStorage) — hold a StemStorage instead "
                 f"of forking one")
+
+        # stem-lookup-in-storage ----------------------------------------
+        if rel.startswith(STEM_LOOKUP_DIRS) and not is_comment(line):
+            m = STEM_LOOKUP_RE.search(line)
+            if m and not allowed(lines, i, "stem-lookup-in-storage"):
+                errors.append(
+                    f"{rel}:{lineno}: [stem-lookup-in-storage] "
+                    f"{m.group(0)} in src/exec/; SteM lookup and build live "
+                    f"in src/stem/ — call StemStorage::Lookup / Store "
+                    f"instead of searching or appending yourself")
 
         # stem-storage-clock-free ---------------------------------------
         if (rel in CLOCK_FREE_FILES and not is_comment(line)

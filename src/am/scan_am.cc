@@ -39,8 +39,7 @@ void ScanAm::Process(TuplePtr tuple) {
     Emit(std::move(tuple));
     return;
   }
-  if (finished_) return;  // halted: a late seed must not restart the stream
-  if (seeded_) return;    // duplicate seed: ignore
+  if (seeded_) return;  // duplicate seed: ignore
   seeded_ = true;
   streaming_ = true;
   SimTime due = sim()->now() + options_.initial_delay + options_.period;
@@ -54,17 +53,11 @@ SimTime ScanAm::ApplyStalls(SimTime due) const {
   return due;
 }
 
-void ScanAm::Halt() {
-  // next_row_ is left alone: rows_emitted() keeps reporting what was
-  // actually delivered before the halt. streaming_ is also left alone — if
-  // an emission event is already on the clock it still holds a pointer to
-  // this module, so the scan must not report Quiescent until that event
-  // has fired (and cleared streaming_ below).
-  finished_ = true;
-}
-
 void ScanAm::EmitNextRow() {
-  if (finished_) {  // halted after this emission was scheduled
+  // Halted after this emission was scheduled: the event still held a
+  // pointer to this module, so streaming_ (and with it Quiescent) is
+  // cleared only now. rows_emitted() keeps what was delivered.
+  if (halted()) {
     streaming_ = false;
     return;
   }

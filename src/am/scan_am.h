@@ -43,14 +43,11 @@ class ScanAm : public AccessModule {
 
   size_t rows_emitted() const { return next_row_; }
   size_t total_rows() const { return rows_.size(); }
-  bool finished() const { return finished_; }
+  /// Delivered its EOT, or halted (Module::Halt: no further rows or EOT;
+  /// an already-scheduled emission fires once as a no-op, and the scan
+  /// reports Quiescent only after that).
+  bool finished() const { return finished_ || halted(); }
   SimTime period() const { return options_.period; }
-
-  /// Stops the stream permanently (query cancellation): no further rows or
-  /// EOT are emitted. An already-scheduled emission event fires once as a
-  /// no-op; the scan reports Quiescent only after that, so owners can use
-  /// Quiescent() as "no pending event references this module".
-  void Halt();
 
  protected:
   SimTime ServiceTime(const Tuple&) const override {

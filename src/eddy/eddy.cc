@@ -205,14 +205,12 @@ void Eddy::Cancel() {
     counters_.tuples_retired += tuples.size();
   }
   parked_by_slot_.clear();
-  // Halt the scans: without this a cancelled query's sources keep
-  // self-scheduling row emissions on the shared clock, taxing every other
-  // query on the engine until the tables are exhausted.
-  for (const auto& module : modules_) {
-    if (module->kind() == ModuleKind::kScanAm) {
-      static_cast<ScanAm*>(module.get())->Halt();
-    }
-  }
+  // Halt every module: without this a cancelled query's scans keep
+  // self-scheduling row emissions, and its SteMs keep probing the tuples
+  // already queued at them, on the shared clock — taxing every other query
+  // on the engine for work nobody reads. The dropped tuples are retired
+  // (Counters()).
+  for (const auto& module : modules_) module->Halt();
 }
 
 void Eddy::InjectTuple(TuplePtr tuple) {
@@ -597,17 +595,9 @@ SpillSummary Eddy::SpillStats() const {
   SpillSummary out;
   for (const auto& module : modules_) {
     if (module->kind() != ModuleKind::kStem) continue;
-    const auto* stem = static_cast<const Stem*>(module.get());
-    if (!stem->spill_enabled()) continue;
-    out.entries_spilled += stem->entries_spilled();
-    out.partitions_resident += stem->partitions_resident();
-    out.partitions_spilled += stem->partitions_spilled();
+    static_cast<const Stem*>(module.get())->storage()->AddTo(&out);
   }
-  if (buffer_pool_ != nullptr) {
-    out.pool_hits = buffer_pool_->stats().hits;
-    out.pool_misses = buffer_pool_->stats().misses;
-    out.pool_evictions = buffer_pool_->stats().evictions;
-  }
+  if (buffer_pool_ != nullptr) buffer_pool_->AddTo(&out);
   return out;
 }
 
@@ -615,6 +605,7 @@ obs::QueryCounters Eddy::Counters() const {
   obs::QueryCounters c = counters_;
   c.num_results = results_.size();
   for (const auto& module : modules_) {
+    c.tuples_retired += module->stats().tuples_dropped;
     if (module->kind() == ModuleKind::kStem) {
       c += static_cast<const Stem*>(module.get())->counters();
     }

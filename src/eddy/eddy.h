@@ -119,9 +119,10 @@ class Eddy {
   /// checker audits each retirement. Returns tuples retired.
   size_t DrainParked();
 
-  /// Cooperative cancellation: drops every queued and parked tuple and
-  /// retires all future module emissions on arrival. Modules may still
-  /// drain their in-flight work on the simulation; it produces no results.
+  /// Cooperative cancellation: drops every queued and parked tuple, halts
+  /// every module (Module::Halt: their queued and in-flight work is
+  /// discarded unprocessed) and retires all future module emissions on
+  /// arrival.
   void Cancel();
   bool cancelled() const { return cancelled_; }
 

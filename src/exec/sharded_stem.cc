@@ -1,9 +1,6 @@
 #include "exec/sharded_stem.h"
 
-#include <algorithm>
 #include <chrono>
-
-#include "stem/stem_index.h"
 
 namespace stems {
 
@@ -55,9 +52,7 @@ SpillSummary ShardedSpillState::Summarize(
   if (pool == nullptr) return out;  // spill disabled
   for (const auto& stem : stems) stem->AddResidency(&out);
   MutexLock lock(&pool_mu);
-  out.pool_hits = pool->stats().hits;
-  out.pool_misses = pool->stats().misses;
-  out.pool_evictions = pool->stats().evictions;
+  pool->AddTo(&out);
   return out;
 }
 
@@ -65,18 +60,16 @@ bool ShardedStem::mutation_ts_outside_lock_for_test = false;
 
 ShardedStem::ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
                          Atomic<BuildTs>* ts_counter,
-                         ShardedSpillState* spill)
-    : ts_counter_(ts_counter), spill_(spill) {
+                         ShardedSpillState* spill,
+                         const StemOptions& stem_options)
+    : ts_counter_(ts_counter), spill_(spill), slot_(slot), query_(&query) {
   for (const auto& pred : query.predicates()) {
-    if (!pred.is_join() || pred.op() != CompareOp::kEq) continue;
-    auto col = pred.EquiJoinColumnFor(slot);
-    if (!col.has_value()) continue;
-    if (std::find(index_columns_.begin(), index_columns_.end(), *col) ==
-        index_columns_.end()) {
-      index_columns_.push_back(*col);
+    const auto col = pred.EquiJoinColumnFor(slot);
+    if (col.has_value() && (shard_key_ < 0 || *col < shard_key_)) {
+      shard_key_ = *col;
     }
   }
-  std::sort(index_columns_.begin(), index_columns_.end());
+  const std::vector<int> index_columns = StemIndexColumns(query, {slot});
   const std::string& table =
       query.slots()[static_cast<size_t>(slot)].table_name;
   shards_.reserve(num_shards);
@@ -85,15 +78,13 @@ ShardedStem::ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
     // The shard is private until the constructor returns; the lock exists
     // to satisfy the guarded_by contract, and is uncontended by definition.
     MutexLock lock(&shard->mu);
-    for (int col : index_columns_) {
-      shard->storage.indexes().emplace_back(col,
-                                            std::make_unique<HashStemIndex>());
-    }
+    shard->storage.EnsureIndexes(index_columns, stem_options.index_impl,
+                                 stem_options.adaptive_threshold);
     if (spill_ != nullptr && spill_->pool != nullptr) {
       // part_col -1: the shard is one spill partition, partition 0.
       MutexLock pool_lock(&spill_->pool_mu);
       shard->storage.EnableSpill(spill_->pool.get(), spill_->options,
-                                 /*part_col=*/-1);
+                                 /*part_col=*/-1, &spill_->pool_mu);
     }
     shards_.push_back(std::move(shard));
   }
@@ -104,11 +95,11 @@ size_t ShardedStem::ShardOfValue(const Value& v) const {
 }
 
 size_t ShardedStem::ShardOfRow(const Row& row) const {
-  // Placement must agree with probe routing: shard by the first equi-join
-  // column when one exists, else spread by content hash (such stems are
-  // only ever scanned in full).
-  if (!index_columns_.empty()) {
-    return ShardOfValue(row.value(static_cast<size_t>(index_columns_[0])));
+  // Placement must agree with probe routing: shard by the shard key when
+  // there is one, else spread by content hash (such stems are only ever
+  // probed in every shard).
+  if (shard_key_ >= 0) {
+    return ShardOfValue(row.value(static_cast<size_t>(shard_key_)));
   }
   return row.Hash() % shards_.size();
 }
@@ -138,13 +129,11 @@ ShardedStem::BuildResult ShardedStem::Build(const RowRef& row) {
     out.ts = mutation_ts_outside_lock_for_test ? mutated_ts
                                                : ts_counter_->fetch_add(1);
     out.inserted = true;
-    if (storage.PartitionResident(0)) {
-      storage.Insert(row, out.ts);
-      if (budgeted) spill_->resident.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A build behind a spilled shard goes straight to its run file.
-      MutexLock pool_lock(&spill_->pool_mu);
-      Account(storage.AppendToSpilledPartition(0, row, out.ts));
+    const StemStorage::SpillResult io = storage.Store(row, out.ts);
+    if (io.entries > 0) {
+      Account(io);  // behind a spilled shard: appended to its run file
+    } else if (budgeted) {
+      spill_->resident.fetch_add(1, std::memory_order_relaxed);
     }
   }
   if (budgeted) EnforceBudget(&shard);
@@ -152,46 +141,46 @@ ShardedStem::BuildResult ShardedStem::Build(const RowRef& row) {
   return out;
 }
 
-void ShardedStem::ProbeShard(Shard* shard, int idx, const Value* key,
-                             BuildTs probe_ts, ProbeScratch* scratch) {
-  ContentionLock lock(shard->mu, spill_);
-  StemStorage& storage = shard->storage;
-  if (!storage.PartitionResident(0)) {
-    MutexLock pool_lock(&spill_->pool_mu);
-    const StemStorage::SpillResult io = storage.FaultInPartition(0);
-    Account(io);
-    // The budget may now be transiently exceeded; the next build's
-    // EnforceBudget pass restores it (the simulated spill subsystem
-    // over-commits across a fault-in the same way).
-    spill_->resident.fetch_add(static_cast<int64_t>(io.entries),
-                               std::memory_order_relaxed);
-  }
-  const std::vector<StemStorage::Entry>& entries = storage.entries();
-  auto visit = [&](const StemStorage::Entry& e) {
-    if (e.ts <= probe_ts) scratch->matches.emplace_back(e.row, e.ts);
+const ShardedStem::Matches& ShardedStem::Probe(const Tuple& probe,
+                                               ProbeScratch* scratch) {
+  scratch->matches.clear();
+  DeriveProbeBindings(*query_, probe, slot_, &scratch->bindings);
+  const BuildTs probe_ts = probe.Timestamp();
+  // One shard, under its lock: fault it in when spilled, look up, and copy
+  // out the entries the probe sees. Only the lookup holds the lock; the
+  // copied RowRefs stay valid even if a concurrent build reallocates the
+  // entries.
+  auto probe_shard = [&](Shard& shard) {
+    ContentionLock lock(shard.mu, spill_);
+    StemStorage& storage = shard.storage;
+    storage.FaultInForProbe(
+        scratch->bindings, [this](const StemStorage::SpillResult& in) {
+          Account(in);
+          // The budget may now be transiently exceeded; the next build's
+          // EnforceBudget pass restores it (the simulated spill subsystem
+          // over-commits across a fault-in the same way).
+          spill_->resident.fetch_add(static_cast<int64_t>(in.entries),
+                                     std::memory_order_relaxed);
+        });
+    storage.Lookup(*query_, probe, slot_, scratch->bindings, &scratch->ids);
+    const std::vector<StemStorage::Entry>& entries = storage.entries();
+    for (uint32_t id : scratch->ids) {
+      const StemStorage::Entry& e = entries[id];
+      if (e.row != nullptr && ProbeSeesEntry(e.ts, probe_ts)) {
+        scratch->matches.emplace_back(e.row, e.ts);
+      }
+    }
   };
-  if (idx >= 0) {
-    scratch->ids.clear();
-    storage.indexes()[static_cast<size_t>(idx)].second->LookupEq(
-        *key, &scratch->ids);
-    for (uint32_t id : scratch->ids) visit(entries[id]);
-  } else {
-    for (const StemStorage::Entry& e : entries) visit(e);
+  for (const auto& [col, value] : scratch->bindings) {
+    if (col == shard_key_) {
+      // Entries with this value live in exactly one shard (builds are
+      // placed by the same column).
+      probe_shard(*shards_[ShardOfValue(value)]);
+      return scratch->matches;
+    }
   }
-}
-
-std::pair<int, int> ShardedStem::IndexForBindings(
-    const Bindings& bindings) const {
-  std::pair<int, int> best{-1, -1};
-  for (size_t b = 0; b < bindings.size(); ++b) {
-    auto it = std::find(index_columns_.begin(), index_columns_.end(),
-                        bindings[b].first);
-    if (it == index_columns_.end()) continue;
-    const int pos = static_cast<int>(it - index_columns_.begin());
-    if (pos == 0) return {static_cast<int>(b), 0};  // shard key: best case
-    if (best.second < 0) best = {static_cast<int>(b), pos};
-  }
-  return best;
+  for (auto& shard : shards_) probe_shard(*shard);
+  return scratch->matches;
 }
 
 void ShardedStem::EnforceBudget(const Shard* except) {
@@ -214,7 +203,6 @@ void ShardedStem::EnforceBudget(const Shard* except) {
     }
     if (victim == nullptr) return;  // nothing local left to spill
     MutexLock lock(&victim->mu);
-    MutexLock pool_lock(&spill_->pool_mu);
     // A victim spilled by another worker meanwhile moves nothing here; the
     // loop re-reads the budget and picks again.
     const StemStorage::SpillResult io = victim->storage.SpillColdestPartition();
@@ -227,9 +215,7 @@ void ShardedStem::EnforceBudget(const Shard* except) {
 void ShardedStem::AddResidency(SpillSummary* out) const {
   for (const auto& shard : shards_) {
     MutexLock lock(&shard->mu);
-    out->entries_spilled += shard->storage.entries_spilled();
-    out->partitions_resident += shard->storage.partitions_resident();
-    out->partitions_spilled += shard->storage.partitions_spilled();
+    shard->storage.AddTo(out);
   }
 }
 

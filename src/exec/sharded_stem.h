@@ -4,19 +4,21 @@
 // building and probing the same SteM contend only per shard, never globally
 // (docs/parallelism.md covers the ownership rules). Each shard is a private
 // StemStorage (src/stem/) under its own mutex: the entries, the §3.2
-// content dedup and one hash index per equi-join column of the slot are
-// the sim SteM's storage, not a copy of it. What lives here is only what is
-// threaded: the shard routing, the shard locks and timestamp issuance.
+// content dedup, the index set (as StemOptions::index_impl asks), build,
+// lookup and spill step are the sim SteM's code, not a copy of it. What
+// lives here is only what is threaded: the shard routing, the shard locks
+// and timestamp issuance.
 //
 // Visibility contract (the threaded analogue of the §3.1 timestamp rule):
 // a build issues its timestamp from the query-global atomic counter and
 // inserts the entry *inside the same shard critical section*, and a probe
 // issues no timestamps and reads under the same shard mutex. Together with
-// the probe-side filter `entry_ts <= probe_ts` this gives the symmetric-
-// join guarantee: for any two rows r, s with ts(r) < ts(s), s's probe is
-// ordered after r's insert (else s's probe section — which follows s's own
-// ts issuance in program order — would precede r's issuance, contradicting
-// ts(r) < ts(s)), so exactly the newer row observes the older one.
+// the probe-side filter `entry_ts <= probe_ts` (ProbeSeesEntry) this gives
+// the symmetric-join guarantee: for any two rows r, s with ts(r) < ts(s),
+// s's probe is ordered after r's insert (else s's probe section — which
+// follows s's own ts issuance in program order — would precede r's
+// issuance, contradicting ts(r) < ts(s)), so exactly the newer row observes
+// the older one.
 //
 // Spill: under a global resident-entry budget (the threaded mapping of
 // RunOptions::LargerThanMemory) each shard is one spill partition. A build
@@ -38,6 +40,7 @@
 #include "spill/buffer_pool.h"
 #include "spill/spill_summary.h"
 #include "stem/probe_bindings.h"
+#include "stem/stem.h"
 #include "stem/stem_storage.h"
 #include "types/row.h"
 #include "types/value.h"
@@ -85,9 +88,10 @@ struct ShardedSpillState {
   // invariant: allow(schedulable-atomic) -- relaxed: monotone statistic (struct doc)
   std::atomic<uint64_t> lock_wait_ns{0};
 
-  /// The run-wide page cache behind every shard's run file. Taken only on
-  /// spill paths (spill-out, fault-in, a build into a spilled shard) and
-  /// always inside a shard lock: lock order shard mu -> pool_mu.
+  /// The run-wide page cache behind every shard's run file. Each shard's
+  /// storage takes it on its spill paths (spill-out, fault-in, a build into
+  /// a spilled shard; StemStorage::EnableSpill), always inside the shard
+  /// lock: lock order shard mu -> pool_mu.
   mutable Mutex pool_mu;
   /// Set by EnableSpill before any stem exists; null = spill disabled.
   std::unique_ptr<BufferPool> pool STEMS_PT_GUARDED_BY(pool_mu);
@@ -98,9 +102,11 @@ struct ShardedSpillState {
 class ShardedStem {
  public:
   /// `ts_counter` is the query-global build-timestamp source (the threaded
-  /// TimestampAuthority); `spill` may be null for unbudgeted runs.
+  /// TimestampAuthority); `spill` may be null for unbudgeted runs;
+  /// `options` are the table's (its index implementation applies here).
   ShardedStem(int slot, const QuerySpec& query, size_t num_shards,
-              Atomic<BuildTs>* ts_counter, ShardedSpillState* spill);
+              Atomic<BuildTs>* ts_counter, ShardedSpillState* spill,
+              const StemOptions& options = {});
 
   /// Test-only mutation switch for the schedule-exploration harness: when
   /// true, Build issues the timestamp *before* entering the shard critical
@@ -123,53 +129,22 @@ class ShardedStem {
   /// of the same shard (see the visibility contract above).
   BuildResult Build(const RowRef& row);
 
-  /// Equality bindings a probe carries (DeriveProbeBindings).
-  using Bindings = ProbeBindings;
-
-  /// A probe match handed back to the prober: the stored row + its build
-  /// timestamp, copied out of the shard so the (expensive) continuation —
-  /// predicate evaluation, concatenation, cascading — runs *outside* the
-  /// shard critical section and never serializes other workers. Deferring
-  /// the continuation cannot change the match set: which entries a probe
-  /// observes is fixed at lock time, and the visibility contract only
-  /// constrains the scan itself.
+  /// A probe match: the stored row + its build timestamp.
   using Matches = std::vector<std::pair<RowRef, BuildTs>>;
   /// A worker's reusable probe buffers.
   struct ProbeScratch {
     Matches matches;
-    std::vector<uint32_t> ids;  ///< index lookup results of one shard
+    ProbeBindings bindings;
+    std::vector<uint32_t> ids;  ///< lookup results of one shard
   };
 
-  /// Invokes `fn(row, entry_ts)` for every stored entry matching `bindings`
-  /// with `entry_ts <= probe_ts` (§3.1's probe-side filter). A binding on
-  /// the shard-key column routes to one shard; a binding on another indexed
-  /// column uses that column's per-shard index across all shards; no usable
-  /// binding (range joins, cross products) scans everything.
-  template <typename Fn>
-  void Probe(const Bindings& bindings, BuildTs probe_ts, Fn&& fn,
-             ProbeScratch* scratch = nullptr) {
-    ProbeScratch local;
-    ProbeScratch& s = scratch != nullptr ? *scratch : local;
-    s.matches.clear();
-    const auto [binding_pos, index_pos] = IndexForBindings(bindings);
-    if (index_pos >= 0) {
-      const Value& key = bindings[static_cast<size_t>(binding_pos)].second;
-      if (index_pos == 0) {
-        // Binding on the shard key: entries with this value live in exactly
-        // one shard (builds are placed by the same column).
-        ProbeShard(shards_[ShardOfValue(key)].get(), 0, &key, probe_ts, &s);
-      } else {
-        for (auto& shard : shards_) {
-          ProbeShard(shard.get(), index_pos, &key, probe_ts, &s);
-        }
-      }
-    } else {
-      for (auto& shard : shards_) {
-        ProbeShard(shard.get(), -1, nullptr, probe_ts, &s);
-      }
-    }
-    for (auto& [row, ts] : s.matches) fn(row, ts);
-  }
+  /// Fills `scratch->matches` with the stored entries `probe` may match and
+  /// sees by the §3.1 rule, and returns it. A probe bound on the shard key
+  /// searches one shard, any other every shard (StemStorage::Lookup). The
+  /// matches are copies, so the expensive continuation (ProbeMatcher,
+  /// cascading) runs outside the shard locks; that cannot change the match
+  /// set, which is fixed at lock time.
+  const Matches& Probe(const Tuple& probe, ProbeScratch* scratch);
 
   uint64_t num_entries() const { return entries_.load(std::memory_order_relaxed); }
   /// Adds every shard's partition residency and on-disk entries to `out`
@@ -188,19 +163,8 @@ class ShardedStem {
     StemStorage storage STEMS_GUARDED_BY(mu);
   };
 
-  /// (position in `bindings`, position in `index_columns_`) of the best
-  /// indexable binding — the shard-key column if bound, else any other
-  /// indexed column — or (-1, -1) when no binding is indexable.
-  std::pair<int, int> IndexForBindings(const Bindings& bindings) const;
   size_t ShardOfValue(const Value& v) const;
   size_t ShardOfRow(const Row& row) const;
-
-  /// Probes one shard under its mutex (faulting it in first when spilled)
-  /// and appends the ts-filtered matches to `scratch->matches`. Only the
-  /// scan holds the lock; RowRefs are copied out so the matches stay valid
-  /// after unlock even if a concurrent build reallocates the entries.
-  void ProbeShard(Shard* shard, int idx, const Value* key, BuildTs probe_ts,
-                  ProbeScratch* scratch);
 
   /// Charges one spill-path operation's I/O to the run counters.
   void Account(const StemStorage::SpillResult& io);
@@ -214,9 +178,11 @@ class ShardedStem {
   /// the model checker.
   Atomic<BuildTs>* const ts_counter_;
   ShardedSpillState* const spill_;
-  /// Equi-join columns of this slot, ascending; the first is the shard key.
-  /// Every shard's storage indexes them in this order.
-  std::vector<int> index_columns_;
+  const int slot_;
+  const QuerySpec* const query_;
+  /// The slot's first equi-join column, or -1 (no equi-join: rows spread by
+  /// content hash). Never a range column: a range probe names no value.
+  int shard_key_ = -1;
   std::vector<std::unique_ptr<Shard>> shards_;
   /// relaxed: monotone statistic (total inserted entries across shards);
   /// sampled by observers, never used to order other accesses.

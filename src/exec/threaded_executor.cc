@@ -80,8 +80,7 @@ struct ThreadedRun::Worker {
   WorkerProbeStats probe_stats;
   std::vector<TuplePtr> cascade_stack;
   std::vector<int> candidates_scratch;
-  std::vector<const Predicate*> decided_scratch;
-  ProbeBindings bindings_scratch;
+  ProbeMatcher matcher;
   ShardedStem::ProbeScratch probe_scratch;
 };
 
@@ -240,6 +239,13 @@ Status ThreadPoolExecutor::ValidateSupported(const QuerySpec& query,
     return Status::Unsupported(
         "threaded executor: always_build=false routing is sim-only");
   }
+  for (const auto& slot : query.slots()) {
+    if (options.exec.StemOptionsFor(slot.table_name).max_entries > 0) {
+      return Status::Unsupported(
+          "threaded executor: windowed SteMs (StemOptions::max_entries, on "
+          "table '" + slot.table_name + "') are sim-only");
+    }
+  }
   if (options.exec.eddy.result_priority_classifier != nullptr) {
     return Status::Unsupported(
         "threaded executor: result-priority metrics (§4.1) are sim-only");
@@ -318,38 +324,20 @@ void ThreadPoolExecutor::Cascade(RunState* state, WorkerState* ws,
         ws->policy->ChooseProbeSlot(*t, candidates, ws->probe_stats);
     ShardedStem& stem = *state->stems[static_cast<size_t>(target)];
 
-    DeriveProbeBindings(query, *t, target, &ws->bindings_scratch);
-    // Every not-yet-passed predicate the widened span can decide (the
-    // stored row's selections included), listed once per probe as
-    // Stem::ProcessProbe does.
-    const uint64_t new_span = t->spanned_mask() | (1ULL << target);
-    auto& decided = ws->decided_scratch;
-    decided.clear();
-    for (const auto& pred : query.predicates()) {
-      if (!t->PassedPredicate(pred.id()) && pred.CanEvaluate(new_span)) {
-        decided.push_back(&pred);
+    // The predicates this probe decides are listed once and applied to the
+    // matches outside the shard locks, as Stem::ProcessProbe does.
+    ws->matcher.Reset(query, *t, target);
+    uint64_t matches = 0;
+    for (const auto& [row, entry_ts] : stem.Probe(*t, &ws->probe_scratch)) {
+      TuplePtr nt = ws->matcher.Match(row, entry_ts);
+      if (nt == nullptr) continue;
+      ++matches;
+      if (nt->spanned_mask() == state->full_mask) {
+        AdmitResult(state, ws, std::move(nt));
+      } else {
+        stack.push_back(std::move(nt));
       }
     }
-    uint64_t matches = 0;
-    stem.Probe(
-        ws->bindings_scratch, t->Timestamp(),
-        [&](const RowRef& row, BuildTs entry_ts) {
-          OverlayValueSource overlay(*t, target, &row->values());
-          for (const Predicate* pred : decided) {
-            if (!pred->Evaluate(overlay)) return;
-          }
-          TuplePtr nt = t->ConcatWith(target, row, entry_ts);
-          for (const Predicate* pred : decided) {
-            nt->MarkPredicatePassed(pred->id());
-          }
-          ++matches;
-          if (nt->spanned_mask() == state->full_mask) {
-            AdmitResult(state, ws, std::move(nt));
-          } else {
-            stack.push_back(std::move(nt));
-          }
-        },
-        &ws->probe_scratch);
     ++ws->counters.probes;
     ws->counters.matches += matches;
     SlotProbeStats& history =
@@ -558,7 +546,8 @@ Result<std::shared_ptr<ThreadedRun>> ThreadPoolExecutor::Start(
   st.stems.reserve(num_slots);
   for (size_t s = 0; s < num_slots; ++s) {
     st.stems.push_back(std::make_unique<ShardedStem>(
-        static_cast<int>(s), query, kShardsPerStem, &st.ts_counter, &st.spill));
+        static_cast<int>(s), query, kShardsPerStem, &st.ts_counter, &st.spill,
+        options.exec.StemOptionsFor(query.slots()[s].table_name)));
   }
 
   // Morsel size: RunOptions::batch_size, the same knob that sizes the sim's

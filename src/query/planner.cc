@@ -38,9 +38,7 @@ Result<std::unique_ptr<Eddy>> PlanQuery(const QuerySpec& query,
   std::set<std::string> tables_done;
   for (const auto& inst : query.slots()) {
     if (!tables_done.insert(inst.table_name).second) continue;
-    StemOptions opts = config.stem_defaults;
-    auto it = config.stem_overrides.find(inst.table_name);
-    if (it != config.stem_overrides.end()) opts = it->second;
+    const StemOptions& opts = config.StemOptionsFor(inst.table_name);
     // Windowed (max_entries) and Grace-mode (partitioned bounce) SteMs stay
     // private: eviction windows and phased partition release are per-query
     // execution strategies, not shareable state.

@@ -37,6 +37,12 @@ struct ExecutionConfig {
   StemOptions stem_defaults;
   /// Overrides keyed by table name.
   std::map<std::string, StemOptions> stem_overrides;
+  /// The options a SteM on `table` runs with, on either executor: its
+  /// override if any, else the defaults.
+  const StemOptions& StemOptionsFor(const std::string& table) const {
+    auto it = stem_overrides.find(table);
+    return it != stem_overrides.end() ? it->second : stem_defaults;
+  }
 
   ScanAmOptions scan_defaults;
   /// Overrides keyed by access method name (AccessMethodSpec::name).

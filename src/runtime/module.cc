@@ -49,6 +49,11 @@ void Module::AcceptBatch(std::vector<TuplePtr>* batch) {
   MaybeStartService();
 }
 
+void Module::Halt() {
+  halted_ = true;
+  MaybeStartService();  // drops the queue
+}
+
 void Module::Emit(TuplePtr tuple) {
   assert(sink_ && "module output not wired");
   ++stats_.tuples_out;
@@ -72,6 +77,11 @@ void Module::TraceService(SimTime start, SimTime duration, size_t group_size) {
 }
 
 void Module::MaybeStartService() {
+  if (halted_) {
+    stats_.tuples_dropped += queue_.size();
+    queue_.clear();
+    return;
+  }
   if (busy_ || queue_.empty()) return;
   busy_ = true;
   if (service_batch_ <= 1 || queue_.size() == 1) {
@@ -83,7 +93,8 @@ void Module::MaybeStartService() {
     stats_.busy_time += static_cast<uint64_t>(service);
     if (tracer_ != nullptr) TraceService(sim_->now(), service, 1);
     sim_->Schedule(service, [this, t = std::move(entry.tuple)]() mutable {
-      Process(std::move(t));
+      if (halted_) ++stats_.tuples_dropped;
+      else Process(std::move(t));
       busy_ = false;
       MaybeStartService();
     });
@@ -107,7 +118,12 @@ void Module::MaybeStartService() {
   stats_.busy_time += static_cast<uint64_t>(total);
   if (tracer_ != nullptr) TraceService(now, total, n);
   sim_->Schedule(total, [this] {
-    ProcessBatch(&in_service_);
+    if (halted_) {
+      stats_.tuples_dropped += in_service_.size();
+      in_service_.clear();
+    } else {
+      ProcessBatch(&in_service_);
+    }
     busy_ = false;
     MaybeStartService();
   });

@@ -34,6 +34,9 @@ struct ModuleStats {
   uint64_t busy_time = 0;        ///< total virtual service time
   uint64_t queue_wait_time = 0;  ///< summed virtual queueing delay
   size_t max_queue_len = 0;
+  /// Tuples a halt discarded unprocessed (queued, in flight, or arriving
+  /// after it); the eddy retires them.
+  uint64_t tuples_dropped = 0;
 
   /// Mean virtual time a tuple spends queued + in service.
   double MeanLatency() const {
@@ -89,6 +92,15 @@ class Module {
 
   size_t queue_length() const { return queue_.size(); }
   bool busy() const { return busy_; }
+
+  /// Stops the module for good (query cancellation, LIMIT): queued and
+  /// later-arriving tuples are dropped, and a service group already on the
+  /// clock is discarded when its event fires; each counts in
+  /// stats().tuples_dropped. Quiescent() stays false until that event has
+  /// fired, so owners can read it as "no pending event references this
+  /// module".
+  void Halt();
+  bool halted() const { return halted_; }
   /// True when no queued or in-service work remains. AMs with outstanding
   /// asynchronous lookups override this.
   virtual bool Quiescent() const { return queue_.empty() && !busy_; }
@@ -135,6 +147,7 @@ class Module {
   };
   std::deque<QueueEntry> queue_;
   bool busy_ = false;
+  bool halted_ = false;
   size_t service_batch_ = 1;
   /// Reusable buffer for the in-flight service group (busy_ serializes
   /// service, so one buffer suffices); keeps the batched path allocation-free.

@@ -20,6 +20,7 @@
 #include "common/rng.h"
 #include "sim/clock.h"
 #include "spill/spill_options.h"
+#include "spill/spill_summary.h"
 
 namespace stems {
 
@@ -83,6 +84,12 @@ class BufferPool {
   SimTime ExpectedReadCost() const;
 
   const BufferPoolStats& stats() const { return stats_; }
+  /// Adds the pool's hit, miss and eviction counts to `*out`.
+  void AddTo(SpillSummary* out) const {
+    out->pool_hits += stats_.hits;
+    out->pool_misses += stats_.misses;
+    out->pool_evictions += stats_.evictions;
+  }
   size_t frames_in_use() const { return frame_of_.size(); }
   size_t capacity() const { return capacity_; }
 

@@ -51,20 +51,8 @@ Stem::Stem(QueryContext* ctx, std::string table_name, StemOptions options,
   if (storage_ == nullptr) {
     storage_ = std::make_shared<StemStorage>(table_name_, /*pooled=*/false);
   }
-  // First attacher materializes the index set; later attachers of a pooled
-  // storage need the same columns by construction (the StemManager keys
-  // its pool on StemIndexColumns).
-  const std::vector<int> cols = StemIndexColumns(*ctx_->query, table_slots_);
-  auto& indexes = storage_->indexes();
-  if (indexes.empty()) {
-    for (int col : cols) {
-      indexes.emplace_back(
-          col, MakeStemIndex(options_.index_impl, options_.adaptive_threshold));
-    }
-  } else {
-    assert(indexes.size() == cols.size() &&
-           "pooled SteM storage acquired with a different index column set");
-  }
+  storage_->EnsureIndexes(StemIndexColumns(*ctx_->query, table_slots_),
+                          options_.index_impl, options_.adaptive_threshold);
   attach_watermark_ = storage_->build_seq();
 
   if (options_.num_partitions > 1) {
@@ -100,7 +88,6 @@ std::string Stem::IndexImplFor(int column) const {
 }
 
 void Stem::EnableSpill(BufferPool* pool, const SpillOptions& options) {
-  if (storage_->spill_enabled()) return;
   const auto& indexes = storage_->indexes();
   storage_->EnableSpill(pool, options,
                         indexes.empty() ? -1 : indexes.front().first);
@@ -141,14 +128,6 @@ size_t Stem::SpillColdestPartition() {
                                  static_cast<int64_t>(out.entries));
   }
   return out.entries;
-}
-
-void Stem::AttributeRestore(const StemStorage::SpillResult& in) {
-  AccrueIoCharge(in);
-  if (in.entries > 0) {
-    spill_in_series_->Increment(sim()->now(),
-                                static_cast<int64_t>(in.entries));
-  }
 }
 
 bool Stem::Quiescent() const {
@@ -263,20 +242,11 @@ void Stem::ProcessBuild(TuplePtr tuple) {
   } else {
     // Pooled entries store the insertion sequence (timestamps live in each
     // query's overlay); private entries store the query's own timestamp.
-    const BuildTs stored_ts = pooled ? storage_->IssueSeq() : ts;
-    const size_t build_partition =
-        storage_->spill_enabled() ? storage_->SpillPartitionOfRow(*row) : 0;
-    if (storage_->spill_enabled() &&
-        !storage_->PartitionResident(build_partition)) {
-      // Build into a spilled partition: append straight to its run file —
-      // the entry never touches memory, and a later fault-in restores it
-      // indistinguishably (TimeStamp-wise) from a resident build. The
-      // dedup identity stays in memory so duplicates are still absorbed.
-      AccrueIoCharge(
-          storage_->AppendToSpilledPartition(build_partition, row, stored_ts));
+    const StemStorage::SpillResult io =
+        storage_->Store(row, pooled ? storage_->IssueSeq() : ts);
+    if (io.entries > 0) {  // appended to a spilled partition's run
+      AccrueIoCharge(io);
       spill_out_series_->Increment(sim()->now());
-    } else {
-      storage_->Insert(row, stored_ts);
     }
   }
   tuple->SetBuilt(slot, ts);
@@ -342,77 +312,6 @@ void Stem::FlushDeferredBounces() {
   }
 }
 
-void Stem::Candidates(const Tuple& tuple, int target_slot,
-                      const std::vector<std::pair<int, Value>>& binds,
-                      std::vector<uint32_t>* out_ids, bool* full_scan) const {
-  std::vector<uint32_t>& out = *out_ids;
-  out.clear();
-  *full_scan = true;
-  const auto& indexes = storage_->indexes();
-  for (const auto& [col, val] : binds) {
-    for (const auto& [idx_col, index] : indexes) {
-      if (idx_col == col) {
-        index->LookupEq(val, &out);
-        *full_scan = false;
-        return;
-      }
-    }
-  }
-
-  // No equality binding: try a range predicate against an ordered index
-  // (paper §2.1.4: "we allow a SteM to perform searches on arbitrary
-  // predicates"). Works when the SteM uses StemIndexImpl::kOrdered.
-  for (const auto& p : ctx_->query->predicates()) {
-    if (!p.is_join() || p.op() == CompareOp::kEq || p.op() == CompareOp::kNe) {
-      continue;
-    }
-    // Orient the comparison as <stem column> OP <probe value>.
-    int stem_col;
-    CompareOp op = p.op();
-    const ColumnRef* peer;
-    if (p.lhs().table_slot == target_slot) {
-      stem_col = p.lhs().column;
-      peer = &p.rhs();
-    } else if (p.rhs().table_slot == target_slot) {
-      stem_col = p.rhs().column;
-      peer = &p.lhs();
-      // Flip the operator: probe OP stem  ==>  stem OP' probe.
-      switch (op) {
-        case CompareOp::kLt: op = CompareOp::kGt; break;
-        case CompareOp::kLe: op = CompareOp::kGe; break;
-        case CompareOp::kGt: op = CompareOp::kLt; break;
-        case CompareOp::kGe: op = CompareOp::kLe; break;
-        default: break;
-      }
-    } else {
-      continue;
-    }
-    const Value* v = tuple.ValueAt(peer->table_slot, peer->column);
-    if (v == nullptr) continue;
-    for (const auto& [idx_col, index] : indexes) {
-      if (idx_col != stem_col) continue;
-      const bool lower = op == CompareOp::kGt || op == CompareOp::kGe;
-      const bool inclusive = op == CompareOp::kLe || op == CompareOp::kGe;
-      const bool served = index->LookupRange(lower ? v : nullptr, inclusive,
-                                             lower ? nullptr : v, inclusive,
-                                             &out);
-      if (served) {
-        *full_scan = false;
-        return;
-      }
-      out.clear();  // index cannot serve ranges; fall through to full scan
-    }
-  }
-
-  // No usable index: all live entries are candidates; remaining predicates
-  // are verified per candidate.
-  const auto& entries = storage_->entries();
-  out.reserve(entries.size());
-  for (uint32_t id = 0; id < entries.size(); ++id) {
-    if (entries[id].row != nullptr) out.push_back(id);
-  }
-}
-
 void Stem::ProcessProbe(TuplePtr tuple) {
   assert(!tuple->is_seed() && "seed tuple routed to a SteM");
   int target_slot = tuple->route_target_slot();
@@ -429,70 +328,26 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   }
 
   DeriveProbeBindings(*ctx_->query, *tuple, target_slot, &binds_scratch_);
-  const auto& binds = binds_scratch_;
 
-  if (storage_->spill_enabled()) {
-    // Partition the probe is equality-bound to, read off the bindings just
-    // extracted for the candidate lookup (no second extraction pass).
-    const int part_col = storage_->spill_part_col();
-    const size_t nparts = storage_->num_spill_partitions();
-    size_t bound_p = 0;
-    bool bound = false;
-    if (part_col >= 0 && nparts > 1) {
-      for (const auto& [col, val] : binds) {
-        if (col == part_col) {
-          bound_p = val.Hash() % nparts;
-          bound = true;
-          break;
-        }
-      }
+  // Restore whatever spilled state the probe may match before it is
+  // processed, billing each fault-in's read I/O to this query as a service
+  // charge.
+  const auto bill = [this](const StemStorage::SpillResult& in) {
+    AccrueIoCharge(in);
+    if (in.entries > 0) {
+      spill_in_series_->Increment(sim()->now(),
+                                  static_cast<int64_t>(in.entries));
     }
-    if (bound) storage_->CountProbe(bound_p);
-    if (storage_->partitions_spilled() > 0) {
-      if (bound && !storage_->PartitionResident(bound_p)) {
-        // Pay the simulated read I/O and restore the partition before the
-        // probe is processed.
-        AttributeRestore(storage_->FaultInPartition(bound_p));
-        faulted_during_probe_ = true;
-      } else if (!bound) {
-        // No equality binding on the partitioning column: any spilled
-        // partition could hold matches. Fault them all in.
-        for (size_t p = 0; p < nparts; ++p) {
-          if (!storage_->PartitionResident(p)) {
-            AttributeRestore(storage_->FaultInPartition(p));
-          }
-        }
-        faulted_during_probe_ = true;
-      }
-    }
-  }
+  };
+  const bool faulted = storage_->FaultInForProbe(binds_scratch_, bill);
 
   if (options_.partition_switch_penalty > 0) {
     last_probed_partition_ = PartitionOf(*tuple);
   }
 
-  bool full_scan = false;
-  Candidates(*tuple, target_slot, binds, &candidates_scratch_, &full_scan);
-  // Spilled partitions keep their slots and index postings; their rows are
-  // on disk only, so the probe must not see them.
-  if (storage_->partitions_spilled() > 0) {
-    storage_->DropSpilled(&candidates_scratch_);
-  }
-  const auto& candidates = candidates_scratch_;
-
-  // All not-yet-passed predicates evaluable on the concatenation (paper
-  // Table 1: matches satisfy "all query predicates that can be evaluated on
-  // the columns in t and s"). This deliberately includes predicates already
-  // evaluable on the probe alone (e.g. an unvisited selection), so results
-  // always carry complete predicate state.
-  const uint64_t new_span = tuple->spanned_mask() | (1ULL << target_slot);
-  preds_scratch_.clear();
-  const auto& preds = preds_scratch_;
-  for (const auto& p : ctx_->query->predicates()) {
-    if (!tuple->PassedPredicate(p.id()) && p.CanEvaluate(new_span)) {
-      preds_scratch_.push_back(&p);
-    }
-  }
+  storage_->Lookup(*ctx_->query, *tuple, target_slot, binds_scratch_,
+                   &candidates_scratch_);
+  matcher_.Reset(*ctx_->query, *tuple, target_slot);
 
   const BuildTs probe_ts = tuple->Timestamp();
   const BuildTs last_match_ts = tuple->last_match_ts();
@@ -501,7 +356,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   uint32_t matches_this_probe = 0;
 
   const auto& entries = storage_->entries();
-  for (uint32_t id : candidates) {
+  for (uint32_t id : candidates_scratch_) {
     const StemStorage::Entry& entry = entries[id];
     if (entry.row == nullptr) continue;  // evicted
     // Visibility epoch (docs/sharing.md): on pooled storage an entry's
@@ -516,24 +371,12 @@ void Stem::ProcessProbe(TuplePtr tuple) {
     } else {
       entry_ts = entry.ts;
     }
-    // TimeStamp constraint (§3.1): the later-arriving side generates the
-    // result. §3.5 re-probes skip matches already seen (LastMatchTimeStamp).
-    if (tuple->exclude_equal_ts() ? entry_ts >= probe_ts
-                                  : entry_ts > probe_ts) {
+    if (!ProbeSeesEntry(entry_ts, probe_ts, tuple->exclude_equal_ts(),
+                        last_match_ts)) {
       continue;
     }
-    if (entry_ts <= last_match_ts) continue;
-    OverlayValueSource overlay(*tuple, target_slot, &entry.row->values());
-    bool pass = true;
-    for (const Predicate* p : preds) {
-      if (!p->Evaluate(overlay)) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    TuplePtr concat = tuple->ConcatWith(target_slot, entry.row, entry_ts);
-    for (const Predicate* p : preds) concat->MarkPredicatePassed(p->id());
+    TuplePtr concat = matcher_.Match(entry.row, entry_ts);
+    if (concat == nullptr) continue;
     ++counters_.matches;
     ++matches_this_probe;
     // Partial-result accounting (online metric, §1.2/§3.4): intermediate
@@ -546,7 +389,7 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   tuple->set_last_probe_matches(matches_this_probe);
 
   // SteM BounceBack constraint (paper Table 2) for probe tuples.
-  const bool covered = eots_.Covers(binds);
+  const bool covered = eots_.Covers(binds_scratch_);
   bool bounce;
   if (covered) {
     bounce = false;  // all matches provably delivered
@@ -578,11 +421,10 @@ void Stem::ProcessProbe(TuplePtr tuple) {
   // could still contribute to will be generated by later-arriving builds
   // probing the SteMs holding this tuple's components (TimeStamp rule).
 
-  if (faulted_during_probe_) {
+  if (faulted) {
     // Synchronous fault-ins grew resident state: let the memory governor
     // rebalance (it will not immediately re-spill the faulted partition)
     // and parked probers reconsider.
-    faulted_during_probe_ = false;
     NotifyChange();
   }
 }

@@ -181,13 +181,7 @@ class Stem : public Module {
   /// EvictOldest.
   size_t SpillColdestPartition();
 
-  size_t spill_partitions() const { return storage_->num_spill_partitions(); }
   size_t partitions_spilled() const { return storage_->partitions_spilled(); }
-  size_t partitions_resident() const {
-    return storage_->partitions_resident();
-  }
-  /// Live entries currently on disk (in run files; shared storage-wide).
-  uint64_t entries_spilled() const { return storage_->entries_spilled(); }
   /// Spill traffic attributed to *this query's* operations (builds, probe
   /// fault-ins, governor spills it triggered): simulated page reads +
   /// writes, and bytes appended. On a private SteM this equals the run
@@ -230,19 +224,6 @@ class Stem : public Module {
   /// ios/bytes of the triggering operation are billed to this query.
   void AccrueIoCharge(const StemStorage::SpillResult& io);
 
-  /// Bills a probe's fault-in I/O to this query as a service charge and
-  /// feeds the spill.in metric series.
-  void AttributeRestore(const StemStorage::SpillResult& in);
-
-  /// Candidate entry ids for a probe: equality bindings through the hash
-  /// index when possible, range join predicates through an ordered index
-  /// otherwise ("searches on arbitrary predicates", §2.1.4); `full_scan`
-  /// set when the result is all entries (no usable index). Fills `*out`
-  /// (cleared first).
-  void Candidates(const Tuple& tuple, int target_slot,
-                  const std::vector<std::pair<int, Value>>& binds,
-                  std::vector<uint32_t>* out, bool* full_scan) const;
-
   /// Probe-path scratch buffers (service is serialized per module, so one
   /// set suffices; keeps the hot path allocation-free). The partition
   /// buffer is separate (and mutable) because PartitionOf() runs inside
@@ -250,7 +231,7 @@ class Stem : public Module {
   ProbeBindings binds_scratch_;
   mutable ProbeBindings partition_binds_scratch_;
   std::vector<uint32_t> candidates_scratch_;
-  std::vector<const Predicate*> preds_scratch_;
+  ProbeMatcher matcher_;
 
   QueryContext* ctx_;
   std::string table_name_;
@@ -292,7 +273,6 @@ class Stem : public Module {
   /// quiescent while one is pending, so completion cannot be stamped
   /// ahead of trailing spill I/O.
   size_t pending_io_markers_ = 0;
-  bool faulted_during_probe_ = false;
 
   /// Batched-service state: while a group is in flight, NotifyChange()
   /// latches instead of firing, and the pending notification is delivered

@@ -2,14 +2,36 @@
 
 #include <cassert>
 
+#include "common/thread_annotations.h"
 #include "spill/spill_file.h"
 
 namespace stems {
+
+namespace {
+
+/// Holds EnableSpill's pool lock, if it was given one, across one
+/// operation through the buffer pool. Conditional, so invisible to the
+/// thread-safety analysis; the schedule explorer checks the threaded
+/// shards' locking instead (tests/test_schedule_explore.cc).
+struct PoolLock {
+  explicit PoolLock(Mutex* m) STEMS_NO_THREAD_SAFETY_ANALYSIS : mu(m) {
+    if (mu != nullptr) mu->Lock();
+  }
+  ~PoolLock() STEMS_NO_THREAD_SAFETY_ANALYSIS {
+    if (mu != nullptr) mu->Unlock();
+  }
+  Mutex* const mu;
+};
+
+}  // namespace
 
 /// Spill-partition state: the run file and per-partition residency/heat,
 /// shared by every attached query.
 struct StemStorage::Spill {
   BufferPool* pool = nullptr;
+  /// Guards `pool` when several storages share it across threads (null on
+  /// the sim).
+  Mutex* pool_mu = nullptr;
   SpillOptions options;
   std::unique_ptr<SpillFile> file;
   /// Partitioning column (first indexed join column); -1 degenerates to a
@@ -61,13 +83,103 @@ void StemStorage::AddSlot(RowRef row, BuildTs stored_ts, size_t p) {
   entries_.push_back(Entry{std::move(row), stored_ts});
 }
 
-void StemStorage::Insert(RowRef row, BuildTs stored_ts) {
+void StemStorage::EnsureIndexes(const std::vector<int>& cols,
+                                StemIndexImpl impl,
+                                size_t adaptive_threshold) {
+  if (!indexes_.empty()) {
+    assert(indexes_.size() == cols.size() &&
+           "pooled SteM storage acquired with a different index column set");
+    return;
+  }
+  for (int col : cols) {
+    indexes_.emplace_back(col, MakeStemIndex(impl, adaptive_threshold));
+  }
+}
+
+StemStorage::SpillResult StemStorage::Store(RowRef row, BuildTs stored_ts) {
   const size_t p = SpillPartitionOfRow(*row);
-  assert(PartitionResident(p));
-  if (spill_ != nullptr) spill_->run_valid[p] = 0;  // memory diverges
   dedup_.insert(row);
-  AddSlot(std::move(row), stored_ts, p);
-  ++live_entries_;
+  SpillResult out;
+  if (PartitionResident(p)) {
+    if (spill_ != nullptr) spill_->run_valid[p] = 0;  // memory diverges
+    AddSlot(std::move(row), stored_ts, p);
+    ++live_entries_;
+    return out;
+  }
+  Spill& s = *spill_;
+  PoolLock pool_lock(s.pool_mu);
+  const uint64_t ios_before = s.file->disk_ios();
+  const uint64_t bytes_before = s.file->bytes_written();
+  out.entries = 1;
+  out.cost = s.file->Append(p, std::move(row), stored_ts);
+  out.ios = s.file->disk_ios() - ios_before;
+  out.bytes = s.file->bytes_written() - bytes_before;
+  return out;
+}
+
+void StemStorage::Lookup(const QuerySpec& query, const Tuple& probe,
+                         int target_slot, const ProbeBindings& binds,
+                         std::vector<uint32_t>* out_ids) const {
+  std::vector<uint32_t>& out = *out_ids;
+  out.clear();
+  for (const auto& [col, val] : binds) {
+    for (const auto& [idx_col, index] : indexes_) {
+      if (idx_col == col) {
+        index->LookupEq(val, &out);
+        if (partitions_spilled() > 0) DropSpilled(&out);
+        return;
+      }
+    }
+  }
+
+  // No equality binding: try a range join predicate against an index that
+  // serves ranges (StemIndexImpl::kOrdered).
+  for (const auto& p : query.predicates()) {
+    if (!p.is_join() || p.op() == CompareOp::kEq || p.op() == CompareOp::kNe) {
+      continue;
+    }
+    // Orient the comparison as <stem column> OP <probe value>.
+    int stem_col;
+    CompareOp op = p.op();
+    const ColumnRef* peer;
+    if (p.lhs().table_slot == target_slot) {
+      stem_col = p.lhs().column;
+      peer = &p.rhs();
+    } else if (p.rhs().table_slot == target_slot) {
+      stem_col = p.rhs().column;
+      peer = &p.lhs();
+      // Flip the operator: probe OP stem  ==>  stem OP' probe.
+      switch (op) {
+        case CompareOp::kLt: op = CompareOp::kGt; break;
+        case CompareOp::kLe: op = CompareOp::kGe; break;
+        case CompareOp::kGt: op = CompareOp::kLt; break;
+        case CompareOp::kGe: op = CompareOp::kLe; break;
+        default: break;
+      }
+    } else {
+      continue;
+    }
+    const Value* v = probe.ValueAt(peer->table_slot, peer->column);
+    if (v == nullptr) continue;
+    for (const auto& [idx_col, index] : indexes_) {
+      if (idx_col != stem_col) continue;
+      const bool lower = op == CompareOp::kGt || op == CompareOp::kGe;
+      const bool inclusive = op == CompareOp::kLe || op == CompareOp::kGe;
+      if (index->LookupRange(lower ? v : nullptr, inclusive,
+                             lower ? nullptr : v, inclusive, &out)) {
+        if (partitions_spilled() > 0) DropSpilled(&out);
+        return;
+      }
+      out.clear();  // index cannot serve ranges; fall through to full scan
+    }
+  }
+
+  // No usable index: every live slot is a candidate.
+  out.reserve(entries_.size());
+  for (uint32_t id = 0; id < entries_.size(); ++id) {
+    if (entries_[id].row != nullptr) out.push_back(id);
+  }
+  if (partitions_spilled() > 0) DropSpilled(&out);
 }
 
 size_t StemStorage::EvictOldest(size_t n) {
@@ -96,11 +208,12 @@ size_t StemStorage::EvictOldest(size_t n) {
 // --- spill -------------------------------------------------------------------
 
 void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
-                              int part_col) {
+                              int part_col, Mutex* pool_mu) {
   if (spill_ != nullptr) return;
   spill_ = std::make_unique<Spill>();
   Spill& s = *spill_;
   s.pool = pool;
+  s.pool_mu = pool_mu;
   s.options = options;
   s.part_col = part_col;
   const size_t n =
@@ -121,10 +234,6 @@ void StemStorage::EnableSpill(BufferPool* pool, const SpillOptions& options,
   }
 }
 
-int StemStorage::spill_part_col() const {
-  return spill_ == nullptr ? -1 : spill_->part_col;
-}
-
 size_t StemStorage::num_spill_partitions() const {
   return spill_ == nullptr ? 0 : spill_->resident.size();
 }
@@ -139,8 +248,16 @@ size_t StemStorage::SpillPartitionOfRow(const Row& row) const {
          spill_->resident.size();
 }
 
-void StemStorage::CountProbe(size_t p) {
-  if (spill_ != nullptr) ++spill_->probe_counts[p];
+size_t StemStorage::CountProbe(const ProbeBindings& binds) {
+  const size_t nparts = spill_->resident.size();
+  if (spill_->part_col < 0 || nparts <= 1) return kUnbound;
+  for (const auto& [col, val] : binds) {
+    if (col != spill_->part_col) continue;
+    const size_t p = val.Hash() % nparts;
+    ++spill_->probe_counts[p];
+    return p;
+  }
+  return kUnbound;
 }
 
 void StemStorage::DropSpilled(std::vector<uint32_t>* ids) const {
@@ -156,6 +273,7 @@ StemStorage::SpillResult StemStorage::SpillColdestPartition() {
   SpillResult out;
   if (spill_ == nullptr) return out;
   Spill& s = *spill_;
+  PoolLock pool_lock(s.pool_mu);
   const size_t nparts = s.resident.size();
   size_t victim = SIZE_MAX;
   double victim_heat = 0;
@@ -216,6 +334,7 @@ StemStorage::SpillResult StemStorage::FaultInPartition(size_t p) {
   SpillResult out;
   if (spill_ == nullptr || spill_->resident[p]) return out;
   Spill& s = *spill_;
+  PoolLock pool_lock(s.pool_mu);
   const uint64_t ios_before = s.file->disk_ios();
   // Every page is fetched (the I/O model is unchanged), but only the run's
   // unslotted tail — rows appended while spilled — is copied out and
@@ -243,28 +362,8 @@ StemStorage::SpillResult StemStorage::FaultInPartition(size_t p) {
   return out;
 }
 
-StemStorage::SpillResult StemStorage::AppendToSpilledPartition(
-    size_t p, RowRef row, BuildTs stored_ts) {
-  Spill& s = *spill_;
-  assert(!s.resident[p]);
-  SpillResult out;
-  const uint64_t ios_before = s.file->disk_ios();
-  const uint64_t bytes_before = s.file->bytes_written();
-  dedup_.insert(row);
-  out.entries = 1;
-  out.cost = s.file->Append(p, std::move(row), stored_ts);
-  out.ios = s.file->disk_ios() - ios_before;
-  out.bytes = s.file->bytes_written() - bytes_before;
-  return out;
-}
-
 size_t StemStorage::partitions_spilled() const {
   return spill_ == nullptr ? 0 : spill_->spilled_partitions;
-}
-
-size_t StemStorage::partitions_resident() const {
-  if (spill_ == nullptr) return 0;
-  return spill_->resident.size() - spill_->spilled_partitions;
 }
 
 uint64_t StemStorage::entries_spilled() const {
@@ -293,6 +392,14 @@ SimTime StemStorage::ExpectedProbeSpillCost() const {
       static_cast<double>(s.spilled_partitions);
   return static_cast<SimTime>(frac * pages_per_part *
                               static_cast<double>(s.pool->ExpectedReadCost()));
+}
+
+void StemStorage::AddTo(SpillSummary* out) const {
+  if (spill_ == nullptr) return;
+  out->entries_spilled += entries_spilled();
+  out->partitions_resident +=
+      spill_->resident.size() - spill_->spilled_partitions;
+  out->partitions_spilled += spill_->spilled_partitions;
 }
 
 }  // namespace stems

@@ -5,7 +5,9 @@
 // partitions) to outlive and span individual query plans. This class is
 // that dictionary: entries, content-keyed dedup identity, secondary
 // indexes, and the spill-partition state, factored out of the per-query
-// Stem module so several concurrent queries can attach to one copy.
+// Stem module so several concurrent queries can attach to one copy. Its
+// build (Store), probe spill step (FaultInForProbe) and lookup (Lookup) are
+// the one implementation the sim Stem and the threaded shards both call.
 //
 // Ownership is ref-counted: every attached Stem facade holds a shared_ptr;
 // the engine's StemManager keeps only a weak registry entry, so the storage
@@ -21,21 +23,26 @@
 // tells builders whether the row is already present (Contains).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "query/query_spec.h"
 #include "runtime/tuple.h"
 #include "sim/clock.h"
 #include "spill/spill_options.h"
+#include "spill/spill_summary.h"
+#include "stem/probe_bindings.h"
 #include "stem/stem_index.h"
 #include "types/row.h"
 
 namespace stems {
 
 class BufferPool;
+class Mutex;
 
 class StemStorage {
  public:
@@ -49,6 +56,16 @@ class StemStorage {
     /// facade's overlay; the sequence survives spill round trips and is
     /// the source of attach-time watermarks).
     BuildTs ts = 0;
+  };
+
+  /// Result of one spill-subsystem operation, with the I/O it performed so
+  /// the calling facade can bill itself (per-query attribution).
+  struct SpillResult {
+    size_t entries = 0;  ///< entries moved (spilled out / restored in /
+                         ///< appended to a run)
+    SimTime cost = 0;    ///< virtual I/O time to charge
+    uint64_t ios = 0;    ///< simulated disk page reads + writes
+    uint64_t bytes = 0;  ///< bytes appended to the run file
   };
 
   /// `pooled` marks storage managed by a StemManager (shared across
@@ -75,9 +92,20 @@ class StemStorage {
   /// for cross-query build avoidance.
   bool Contains(const RowRef& row) const { return dedup_.count(row) > 0; }
 
-  /// Physically inserts a row into a resident partition: indexes it,
-  /// updates spill partition accounting, registers its dedup identity.
-  void Insert(RowRef row, BuildTs stored_ts);
+  /// Gives the storage one index of implementation `impl` per column in
+  /// `cols` (StemIndexColumns), unless it is indexed already: a pooled
+  /// storage is indexed by its first attacher, and later attachers need the
+  /// same columns by construction (the StemManager keys its pool on them).
+  void EnsureIndexes(const std::vector<int>& cols, StemIndexImpl impl,
+                     size_t adaptive_threshold);
+
+  /// Stores a row no query stored before (the caller checked Contains) and
+  /// registers its dedup identity. A resident partition takes it into
+  /// memory and its indexes; a spilled partition's run gets it appended
+  /// instead — the row never touches memory, and a later fault-in restores
+  /// it indistinguishably (TimeStamp-wise) from a resident build. Returns
+  /// the append's I/O (`entries` = 1), or all zero for an in-memory insert.
+  SpillResult Store(RowRef row, BuildTs stored_ts);
 
   /// Evicts up to `n` of the oldest live resident entries, in slot order
   /// (sliding-window semantics). Entries of spilled partitions are passed
@@ -93,38 +121,60 @@ class StemStorage {
   /// Live entries of resident partitions: what counts against budgets.
   size_t live_entries() const { return live_entries_; }
 
-  std::vector<std::pair<int, std::unique_ptr<StemIndex>>>& indexes() {
-    return indexes_;
-  }
   const std::vector<std::pair<int, std::unique_ptr<StemIndex>>>& indexes()
       const {
     return indexes_;
   }
 
+  /// Candidate entry ids (into `*out`, cleared first) for a probe of
+  /// `target_slot` carrying `binds`: a bound column's index, else a range
+  /// join predicate through an index that serves ranges (§2.1.4: "searches
+  /// on arbitrary predicates"), else every live slot. Spilled partitions'
+  /// ids are dropped; tombstones an index lists are not (skip null rows).
+  /// The caller verifies the predicates per candidate.
+  void Lookup(const QuerySpec& query, const Tuple& probe, int target_slot,
+              const ProbeBindings& binds, std::vector<uint32_t>* out) const;
+
   // --- spill-aware partition state (src/spill/) ------------------------------
 
-  /// Result of one spill-subsystem operation, with the I/O it performed so
-  /// the calling facade can bill itself (per-query attribution).
-  struct SpillResult {
-    size_t entries = 0;  ///< entries moved (spilled out / restored in)
-    SimTime cost = 0;    ///< virtual I/O time to charge
-    uint64_t ios = 0;    ///< simulated disk page reads + writes
-    uint64_t bytes = 0;  ///< bytes appended to the run file
-  };
-
+  /// Makes the storage spillable through `pool`, partitioned on column
+  /// `part_col` (-1: one partition). `pool_mu`, when given, guards `pool`
+  /// for storages that share it across threads: every operation below that
+  /// reads or writes through the pool holds it, nested inside whatever lock
+  /// the caller holds on this storage.
   void EnableSpill(BufferPool* pool, const SpillOptions& options,
-                   int part_col);
+                   int part_col, Mutex* pool_mu = nullptr);
   bool spill_enabled() const { return spill_ != nullptr; }
-  int spill_part_col() const;
   size_t num_spill_partitions() const;
   bool PartitionResident(size_t p) const;
   size_t SpillPartitionOfRow(const Row& row) const;
-  /// Records probe heat against a partition (victim-selection signal).
-  void CountProbe(size_t p);
-  /// Removes from `ids` the entry ids whose partition is spilled. A probe
+  /// Removes from `ids` the entry ids whose partition is spilled. Lookup
   /// calls it only while partitions_spilled() > 0, so SteMs without spill
   /// pay nothing per candidate.
   void DropSpilled(std::vector<uint32_t>* ids) const;
+
+  /// The probe-side spill step of both executors, run before Lookup():
+  /// counts the probe against the partition its bindings fix on the
+  /// partitioning column (victim-selection heat), then restores that
+  /// partition if it is spilled, or every spilled partition when the probe
+  /// is not bound to one (any of them could hold matches). Calls
+  /// `bill(result)` once per restore, so the caller charges the I/O on its
+  /// own clock. Returns whether any partition was restored.
+  template <typename Bill>
+  bool FaultInForProbe(const ProbeBindings& binds, Bill&& bill) {
+    if (spill_ == nullptr) return false;
+    const size_t bound = CountProbe(binds);
+    if (partitions_spilled() == 0) return false;
+    if (bound != kUnbound) {
+      if (PartitionResident(bound)) return false;
+      bill(FaultInPartition(bound));
+      return true;
+    }
+    for (size_t p = 0; p < num_spill_partitions(); ++p) {
+      if (!PartitionResident(p)) bill(FaultInPartition(p));
+    }
+    return true;
+  }
 
   /// Moves the coldest resident partition to its run file (exact: rows,
   /// sequence numbers and dedup identity are preserved). A clean partition
@@ -135,21 +185,25 @@ class StemStorage {
   /// whole run is read through the pool; only rows appended while the
   /// partition was spilled get new slots and index postings.
   SpillResult FaultInPartition(size_t p);
-  /// Appends a build directly to a spilled partition's run (the row never
-  /// touches memory; its dedup identity is registered).
-  SpillResult AppendToSpilledPartition(size_t p, RowRef row,
-                                       BuildTs stored_ts);
-
   size_t partitions_spilled() const;
-  size_t partitions_resident() const;
   /// Live entries currently only on disk (in non-resident partitions).
   uint64_t entries_spilled() const;
   /// Expected extra virtual time a probe pays right now because of spilled
   /// partitions (fault-in I/O, amortized).
   SimTime ExpectedProbeSpillCost() const;
 
+  /// Adds this storage's residency (live entries on disk, resident and
+  /// spilled partitions) to `*out`; nothing when spill is off.
+  void AddTo(SpillSummary* out) const;
+
  private:
   struct Spill;  // defined in stem_storage.cc; keeps spill includes out
+
+  static constexpr size_t kUnbound = SIZE_MAX;
+  /// Records probe heat (the victim-selection signal) against the partition
+  /// `binds` fix on the partitioning column and returns it; kUnbound when
+  /// they fix none or there is only one partition.
+  size_t CountProbe(const ProbeBindings& binds);
 
   /// Appends a slot for `row` in partition `p` and indexes it. Dedup
   /// identity and live_entries_ are the callers' business: a restore

@@ -525,6 +525,14 @@ TEST_F(CounterTableTest, SimCancelMidRunFreezesStats) {
   const QueryStats stats = cancelled.Value().Stats();
   EXPECT_EQ(stats.probes, probes);
   EXPECT_EQ(stats.matches, matches);
+  // The work itself stopped at Cancel, not only the reported stats: the
+  // cancelled query's SteMs probed nothing more while the second query
+  // drained the shared clock.
+  uint64_t stem_probes = 0;
+  for (const obs::ModuleProfileRow& row : cancelled.Value().Profile().modules) {
+    if (row.kind == "SteM") stem_probes += row.probes;
+  }
+  EXPECT_EQ(stem_probes, probes);
   obs::QueryCounters sum;
   sum += stats;
   sum += drained.Value().Stats();

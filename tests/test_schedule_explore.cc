@@ -50,8 +50,10 @@ using check::TestFactory;
 
 // --- shared fixtures ---------------------------------------------------------
 
-/// R(a) JOIN S(x) ON R.a = S.x — the two-slot equi-join every stem harness
-/// runs under. Built once; read-only during exploration.
+/// R(a) JOIN S(x) ON R.a = S.x, plus T(u), which joins nothing — the spec
+/// every stem harness runs under. A probe spanning only T carries no
+/// binding for R, so it probes every shard. Built once; read-only during
+/// exploration.
 const QuerySpec& JoinSpec() {
   static const QuerySpec* spec = [] {
     static Catalog catalog;
@@ -61,16 +63,29 @@ const QuerySpec& JoinSpec() {
     TableDef s;
     s.name = "S";
     s.schema = Schema({{"x", ValueType::kInt64}});
+    TableDef t;
+    t.name = "T";
+    t.schema = Schema({{"u", ValueType::kInt64}});
     EXPECT_TRUE(catalog.AddTable(std::move(r)).ok());
     EXPECT_TRUE(catalog.AddTable(std::move(s)).ok());
+    EXPECT_TRUE(catalog.AddTable(std::move(t)).ok());
     QueryBuilder qb(catalog);
-    qb.AddTable("R").AddTable("S");
+    qb.AddTable("R").AddTable("S").AddTable("T");
     qb.AddJoin("R.a", "S.x");
     auto built = qb.Build();
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     return new QuerySpec(std::move(built).ValueOrDie());
   }();
   return *spec;
+}
+
+/// A probe tuple: `row` in `slot`, built at `ts` (kTsInfinity: unbuilt, so
+/// the probe sees every entry).
+TuplePtr ProbeOf(int slot, RowRef row, BuildTs ts = kTsInfinity) {
+  const int num_slots = static_cast<int>(JoinSpec().num_slots());
+  TuplePtr probe = Tuple::MakeSingleton(num_slots, slot, std::move(row));
+  if (ts != kTsInfinity) probe->SetBuilt(slot, ts);
+  return probe;
 }
 
 /// RAII toggle for the §3.1 mutation switch.
@@ -115,16 +130,18 @@ TestFactory VisibilityFactory() {
                                       nullptr);
     TestCase tc;
     tc.threads.push_back([st] {
-      const auto built = st->stem_r->Build(MakeRow({Value::Int64(7)}));
-      ShardedStem::Bindings bind{{0, Value::Int64(7)}};
-      st->stem_s->Probe(bind, built.ts,
-                        [&](const RowRef&, BuildTs) { ++st->seen_by_r; });
+      const RowRef r = MakeRow({Value::Int64(7)});
+      const auto built = st->stem_r->Build(r);
+      ShardedStem::ProbeScratch scratch;
+      st->seen_by_r += static_cast<int>(
+          st->stem_s->Probe(*ProbeOf(0, r, built.ts), &scratch).size());
     });
     tc.threads.push_back([st] {
-      const auto built = st->stem_s->Build(MakeRow({Value::Int64(7)}));
-      ShardedStem::Bindings bind{{0, Value::Int64(7)}};
-      st->stem_r->Probe(bind, built.ts,
-                        [&](const RowRef&, BuildTs) { ++st->seen_by_s; });
+      const RowRef s = MakeRow({Value::Int64(7)});
+      const auto built = st->stem_s->Build(s);
+      ShardedStem::ProbeScratch scratch;
+      st->seen_by_s += static_cast<int>(
+          st->stem_r->Probe(*ProbeOf(1, s, built.ts), &scratch).size());
     });
     tc.check = [st]() -> std::string {
       const int cross = st->seen_by_r + st->seen_by_s;
@@ -287,18 +304,18 @@ TestFactory SpillFactory() {
       st->stem->Build(MakeRow({Value::Int64(3)}));
     });
     tc.threads.push_back([st] {
-      // Unbindable probe: scans (and faults in) every shard, racing the
-      // builder's victim selection.
-      ShardedStem::Bindings none;
-      st->stem->Probe(none, kTsInfinity, [](const RowRef&, BuildTs) {});
+      // Unbindable probe (T joins nothing): scans (and faults in) every
+      // shard, racing the builder's victim selection.
+      ShardedStem::ProbeScratch scratch;
+      st->stem->Probe(*ProbeOf(2, MakeRow({Value::Int64(0)})), &scratch);
     });
     tc.check = [st]() -> std::string {
       // Whatever was spilled and faulted back, nothing may be lost: a
       // final full scan sees all three builds.
-      int matches = 0;
-      ShardedStem::Bindings none;
-      st->stem->Probe(none, kTsInfinity,
-                      [&](const RowRef&, BuildTs) { ++matches; });
+      ShardedStem::ProbeScratch scratch;
+      const size_t matches =
+          st->stem->Probe(*ProbeOf(2, MakeRow({Value::Int64(0)})), &scratch)
+              .size();
       if (matches != 3)
         return "final scan saw " + std::to_string(matches) +
                " of 3 built entries";

@@ -203,9 +203,20 @@ TEST(ThreadedEquivalence, Star4) {
   ExpectEquivalence(std::move(qb).Build().ValueOrDie(), db);
 }
 
+/// Threaded bases for the range joins: an ordered index serves their range
+/// probes in every shard; the adaptive one LargerThanMemory picks cannot,
+/// so those probes read every entry.
+std::vector<RunOptions> RangeIndexBases() {
+  std::vector<RunOptions> bases(3);
+  bases[1].exec.stem_defaults.index_impl = StemIndexImpl::kOrdered;
+  bases[2].exec.stem_defaults.index_impl =
+      RunOptions::LargerThanMemory(32).exec.stem_defaults.index_impl;
+  return bases;
+}
+
 TEST(ThreadedEquivalence, RangeJoin) {
-  // Non-equality join: no hash bindings, so threaded probes take the
-  // all-shard scan path.
+  // Non-equality join: no equality bindings and no shard key, so threaded
+  // probes run the range lookup in every shard.
   TestDb db;
   db.AddTable("R", IntSchema({"a"}), RandomIntRows(10, 18, 1, 12),
               {ScanSpec("R.scan")});
@@ -213,7 +224,36 @@ TEST(ThreadedEquivalence, RangeJoin) {
               {ScanSpec("S.scan")});
   QueryBuilder qb(db.catalog);
   qb.AddTable("R").AddTable("S").AddJoin("R.a", "S.x", CompareOp::kLt);
-  ExpectEquivalence(std::move(qb).Build().ValueOrDie(), db);
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+  for (const RunOptions& base : RangeIndexBases()) {
+    SCOPED_TRACE("index_impl=" +
+                 std::to_string(static_cast<int>(
+                     base.exec.stem_defaults.index_impl)));
+    ExpectEquivalence(query, db, base);
+  }
+}
+
+TEST(ThreadedEquivalence, MixedEqualityAndRangeChain) {
+  // R.a = S.x AND S.y < T.u: S is sharded on x, and T's probes into S
+  // bind only the range column y, so they search every S shard through
+  // its y index; S's probes into T are range probes on T.u.
+  TestDb db;
+  db.AddTable("R", IntSchema({"a", "b"}), RandomIntRows(16, 20, 2, 6),
+              {ScanSpec("R.scan")});
+  db.AddTable("S", IntSchema({"x", "y"}), RandomIntRows(17, 20, 2, 6),
+              {ScanSpec("S.scan")});
+  db.AddTable("T", IntSchema({"u"}), RandomIntRows(18, 16, 1, 6),
+              {ScanSpec("T.scan")});
+  QueryBuilder qb(db.catalog);
+  qb.AddTable("R").AddTable("S").AddTable("T");
+  qb.AddJoin("R.a", "S.x").AddJoin("S.y", "T.u", CompareOp::kLt);
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+  for (const RunOptions& base : RangeIndexBases()) {
+    SCOPED_TRACE("index_impl=" +
+                 std::to_string(static_cast<int>(
+                     base.exec.stem_defaults.index_impl)));
+    ExpectEquivalence(query, db, base);
+  }
 }
 
 TEST(ThreadedEquivalence, CrossProduct) {
@@ -579,6 +619,22 @@ TEST(ThreadedEquivalence, UnsupportedCombinationsAreTypedErrors) {
                            RunOptions::Threaded(2));
     EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
   }
+  // Windowed SteMs (max_entries) are sim-only: threads would silently
+  // join over every row instead of the window.
+  {
+    QueryBuilder qb(engine.catalog());
+    qb.AddTable("R");
+    RunOptions o = RunOptions::Threaded(2);
+    o.exec.stem_defaults.max_entries = 5;
+    auto r = engine.Submit(std::move(qb).Build().ValueOrDie(), o);
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+    RunOptions per_table = RunOptions::Threaded(2);
+    per_table.exec.stem_overrides["R"].max_entries = 5;
+    QueryBuilder qb2(engine.catalog());
+    qb2.AddTable("R");
+    r = engine.Submit(std::move(qb2).Build().ValueOrDie(), per_table);
+    EXPECT_EQ(r.status().code(), StatusCode::kUnsupported);
+  }
   // Relaxed BuildFirst is sim-only.
   {
     QueryBuilder qb(engine.catalog());
@@ -611,6 +667,33 @@ TEST(ThreadedEquivalence, RandomQueriesMatchBruteForce) {
   }
 }
 
+TEST(ShardedStemLookup, RangeProbesUseTheOrderedIndex) {
+  // R.a < S.x: with an ordered index (StemOptions::index_impl) an S probe
+  // into R's stem gets only the rows in range from each shard; a hash
+  // index cannot serve ranges, so the probe reads every row and leaves the
+  // predicate to the match step.
+  TestDb db;
+  db.AddTable("R", IntSchema({"a"}), {}, {ScanSpec("R.scan")});
+  db.AddTable("S", IntSchema({"x"}), {}, {ScanSpec("S.scan")});
+  QueryBuilder qb(db.catalog);
+  qb.AddTable("R").AddTable("S").AddJoin("R.a", "S.x", CompareOp::kLt);
+  const QuerySpec query = std::move(qb).Build().ValueOrDie();
+  for (const StemIndexImpl impl :
+       {StemIndexImpl::kOrdered, StemIndexImpl::kHash}) {
+    StemOptions options;
+    options.index_impl = impl;
+    Atomic<BuildTs> ts{1};
+    ShardedStem stem(0, query, /*num_shards=*/4, &ts, nullptr, options);
+    for (int64_t a = 0; a < 10; ++a) {
+      ASSERT_TRUE(stem.Build(MakeRow({Value::Int64(a)})).inserted);
+    }
+    ShardedStem::ProbeScratch scratch;
+    const auto probe = Tuple::MakeSingleton(2, 1, MakeRow({Value::Int64(4)}));
+    EXPECT_EQ(stem.Probe(*probe, &scratch).size(),
+              impl == StemIndexImpl::kOrdered ? 4u : 10u);
+  }
+}
+
 TEST(ShardedStemSpill, CleanRespillIsFreeAndSpilledBuildReturnsOnce) {
   // Two shards, budget 1: building into the second shard spills the first
   // to its run file, a build behind the spilled shard appends to that run,
@@ -639,11 +722,14 @@ TEST(ShardedStemSpill, CleanRespillIsFreeAndSpilledBuildReturnsOnce) {
     return stem.Build(MakeRow({Value::Int64(a), Value::Int64(b)}));
   };
   auto probe_key = [&]() {
+    // An unbuilt S row: bound to `key` on the shard key, sees everything.
     std::multiset<int64_t> bs;
-    stem.Probe({{0, Value::Int64(key)}}, kTsInfinity,
-               [&](const RowRef& row, BuildTs) {
-                 bs.insert(row->value(1).AsInt64());
-               });
+    ShardedStem::ProbeScratch scratch;
+    for (const auto& [row, ts] : stem.Probe(
+             *Tuple::MakeSingleton(2, 1, MakeRow({Value::Int64(key)})),
+             &scratch)) {
+      bs.insert(row->value(1).AsInt64());
+    }
     return bs;
   };
 
